@@ -209,10 +209,17 @@ impl QueryPlan {
     /// Aggregator side: checks a contribution's well-formedness proof
     /// against the ciphertext digest. Always true when proofs are off.
     pub fn verify_contribution(&self, sc: &SignedContribution) -> bool {
-        match (&self.circuit, &sc.proof) {
+        self.circuit.is_none() || self.verify_proof(sc.proof.as_ref(), &ciphertext_digest(&sc.ct))
+    }
+
+    /// [`QueryPlan::verify_contribution`] against an already computed
+    /// statement digest (the contribution ciphertext's
+    /// [`ciphertext_digest`]), for callers that keep the digest anyway.
+    pub fn verify_proof(&self, proof: Option<&Proof>, statement: &Digest) -> bool {
+        match (&self.circuit, proof) {
             (None, _) => true,
             (Some(_), None) => false,
-            (Some(c), Some(proof)) => argument::verify(&c.cs, &ciphertext_digest(&sc.ct), proof),
+            (Some(c), Some(proof)) => argument::verify(&c.cs, statement, proof),
         }
     }
 }

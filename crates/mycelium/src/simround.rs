@@ -848,11 +848,10 @@ impl Process<RoundMsg> for AggregatorActor {
                 // outcome is recorded for the certificate commitment —
                 // accepted slots with the digest of the ciphertext *as
                 // verified*, before any substitution.
-                let ct = if self.plan.verify_contribution(&sc) {
-                    self.statuses.insert(
-                        (origin, slot),
-                        SlotStatus::Accepted(ciphertext_digest(&sc.ct)),
-                    );
+                let digest = ciphertext_digest(&sc.ct);
+                let ct = if self.plan.verify_proof(sc.proof.as_ref(), &digest) {
+                    self.statuses
+                        .insert((origin, slot), SlotStatus::Accepted(digest));
                     sc.ct
                 } else {
                     self.statuses.insert((origin, slot), SlotStatus::Rejected);
@@ -1218,11 +1217,10 @@ impl Process<RoundMsg> for ShardActor {
                 // discard offenders, substituting the neutral Enc(x^0).
                 // Slot outcomes are recorded for the certificate
                 // commitment, with accepted digests taken pre-substitution.
-                let ct = if self.plan.verify_contribution(&sc) {
-                    self.statuses.insert(
-                        (origin, slot),
-                        SlotStatus::Accepted(ciphertext_digest(&sc.ct)),
-                    );
+                let digest = ciphertext_digest(&sc.ct);
+                let ct = if self.plan.verify_proof(sc.proof.as_ref(), &digest) {
+                    self.statuses
+                        .insert((origin, slot), SlotStatus::Accepted(digest));
                     sc.ct
                 } else {
                     self.statuses.insert((origin, slot), SlotStatus::Rejected);

@@ -63,9 +63,7 @@ use std::time::{Duration, Instant};
 use mycelium::decode::decode_aggregate;
 use mycelium::exec::{release_noisy, ExecStats, NoisyGroup};
 use mycelium::params::SystemParams;
-use mycelium::plan::{
-    aggregate_and_audit, ciphertext_digest, combine_origin, origin_work, OriginWork, QueryPlan,
-};
+use mycelium::plan::{aggregate_and_audit, combine_origin, origin_work, OriginWork, QueryPlan};
 use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
 use mycelium_budget::{BudgetError, Composition, EntryState, Ledger, LedgerEntry, LedgerOp};
 use mycelium_cert::{
@@ -657,6 +655,40 @@ pub enum AggMode {
     },
 }
 
+mod held {
+    use mycelium::plan::ciphertext_digest;
+    use mycelium_bgv::Ciphertext;
+    use mycelium_crypto::sha256::Digest;
+
+    /// A ciphertext the aggregator holds, with its [`ciphertext_digest`]
+    /// taken once, when it enters the state. The fields are private to
+    /// this module, so no slot can hold a ciphertext without the digest
+    /// of exactly those bytes, and checkpoints hash 32 cached bytes per
+    /// slot instead of re-serializing every stored residue.
+    #[derive(Clone)]
+    pub(super) struct HeldCt {
+        ct: Ciphertext,
+        digest: Digest,
+    }
+
+    impl HeldCt {
+        pub(super) fn new(ct: Ciphertext) -> Self {
+            let digest = ciphertext_digest(&ct);
+            HeldCt { ct, digest }
+        }
+
+        pub(super) fn ct(&self) -> &Ciphertext {
+            &self.ct
+        }
+
+        pub(super) fn digest(&self) -> &Digest {
+            &self.digest
+        }
+    }
+}
+
+use held::HeldCt;
+
 /// The aggregator's entire protocol state. Crash-durable: every
 /// mutation is journaled before the reply, and [`AggState::recover`]
 /// rebuilds an identical state from the journal.
@@ -666,13 +698,13 @@ pub struct AggState {
     who: String,
     started: Instant,
     // Contribution phase: verified per-(origin, slot) ciphertexts.
-    contribs: Vec<Vec<Option<Ciphertext>>>,
+    contribs: Vec<Vec<Option<HeldCt>>>,
     seen: BTreeSet<(u32, u32)>,
     rejected: Vec<VertexId>,
     // Submission phase.
-    submissions: Vec<Option<Ciphertext>>,
+    submissions: Vec<Option<HeldCt>>,
     got_submissions: usize,
-    aggregate: Option<Ciphertext>,
+    aggregate: Option<HeldCt>,
     // Committee phase.
     pongs: Vec<Option<[u8; 32]>>,
     share_round: u32,
@@ -756,18 +788,17 @@ impl AggState {
         let c = setup.committee_size;
         // The coordinator's "submissions" are one sealed root per
         // shard; everyone else collects one row per origin.
-        let (contribs, submissions): (Vec<Vec<Option<Ciphertext>>>, Vec<Option<Ciphertext>>) =
-            match &mode {
-                AggMode::Coordinator { shards } => (Vec::new(), vec![None; *shards as usize]),
-                _ => (
-                    setup
-                        .works
-                        .iter()
-                        .map(|w| vec![None; w.requests.len()])
-                        .collect(),
-                    vec![None; n],
-                ),
-            };
+        let (contribs, submissions): (Vec<Vec<Option<HeldCt>>>, Vec<Option<HeldCt>>) = match &mode {
+            AggMode::Coordinator { shards } => (Vec::new(), vec![None; *shards as usize]),
+            _ => (
+                setup
+                    .works
+                    .iter()
+                    .map(|w| vec![None; w.requests.len()])
+                    .collect(),
+                vec![None; n],
+            ),
+        };
         let (who, rng_stream) = match &mode {
             AggMode::Shard { shard, .. } => (
                 format!("agg-shard-{shard}"),
@@ -882,13 +913,22 @@ impl AggState {
     /// Wall-clock fields (`started`, `share_deadline`) and liveness
     /// bookkeeping (`finished_seen`, `driver_seen`) are excluded — they
     /// are legitimately different after a restart.
+    ///
+    /// Held ciphertexts enter as their cached [`ciphertext_digest`], so
+    /// a checkpoint costs O(slots), not O(stored ciphertext bytes).
     pub fn digest(&self) -> Digest {
+        self.digest_with(|held| *held.digest())
+    }
+
+    /// The [`AggState::digest`] byte stream, with each held ciphertext
+    /// represented by `ct_digest` of it.
+    fn digest_with(&self, ct_digest: impl Fn(&HeldCt) -> Digest) -> Digest {
         let mut w = Writer::new();
-        let put_opt_ct = |w: &mut Writer, ct: &Option<Ciphertext>| match ct {
+        let put_opt_ct = |w: &mut Writer, held: &Option<HeldCt>| match held {
             None => w.put_u8(0),
-            Some(ct) => {
+            Some(held) => {
                 w.put_u8(1);
-                w.put_bytes(&ciphertext_digest(ct));
+                w.put_bytes(&ct_digest(held));
             }
         };
         for slots in &self.contribs {
@@ -1437,7 +1477,7 @@ impl AggState {
             segments,
             contrib_root,
             rejected,
-            aggregate_digest: ciphertext_digest(self.aggregate.as_ref().expect("aggregated")),
+            aggregate_digest: *self.aggregate.as_ref().expect("aggregated").digest(),
             noise_commitment: noise_commitment(&seeds),
             charged_epsilon_bits: self.charged_epsilon.to_bits(),
             released: out
@@ -1500,8 +1540,8 @@ impl AggState {
         let (n_ring, t_pt) = (self.setup.plan.n_ring, self.setup.plan.t_pt);
         let keys = &self.setup.keys;
         let rng = &mut self.rng;
-        let mut enc_zero = |s: &Option<Ciphertext>| match s {
-            Some(ct) => Ok(ct.clone()),
+        let mut enc_zero = |s: &Option<HeldCt>| match s {
+            Some(held) => Ok(held.ct().clone()),
             None => Ciphertext::encrypt(&keys.public, &Plaintext::zero(n_ring, t_pt), rng),
         };
         let cts: Result<Vec<Ciphertext>, String> = match &self.mode {
@@ -1530,13 +1570,17 @@ impl AggState {
                 .submissions
                 .iter()
                 .enumerate()
-                .map(|(s, ct)| ct.clone().ok_or(format!("shard {s} root missing")))
+                .map(|(s, root)| {
+                    root.as_ref()
+                        .map(|held| held.ct().clone())
+                        .ok_or(format!("shard {s} root missing"))
+                })
                 .collect(),
         };
         match cts.and_then(|cts| {
             aggregate_and_audit(cts).map_err(|e| format!("aggregation failed: {e}"))
         }) {
-            Ok(agg) => self.aggregate = Some(agg),
+            Ok(agg) => self.aggregate = Some(HeldCt::new(agg)),
             Err(e) => self.fail(e),
         }
     }
@@ -1579,7 +1623,7 @@ impl AggState {
     }
 
     fn finish_committee(&mut self) {
-        let aggregate = self.aggregate.as_ref().expect("aggregated");
+        let aggregate = self.aggregate.as_ref().expect("aggregated").ct();
         let shares: Vec<DecryptionShare> = self
             .participants
             .iter()
@@ -1868,26 +1912,34 @@ impl AggState {
                     // Enc(x^0) for offenders and remember them. The slot
                     // outcome is recorded for the certificate commitment
                     // — accepted slots with the digest of the ciphertext
-                    // *as verified*, before any substitution.
-                    let ct = if self.setup.plan.verify_contribution(&sc) {
-                        self.statuses.insert(
-                            (origin, slot),
-                            SlotStatus::Accepted(ciphertext_digest(&sc.ct)),
-                        );
-                        sc.ct
+                    // *as verified*, before any substitution. That one
+                    // digest is the proof statement, the slot status and
+                    // the held ciphertext's cached digest.
+                    let sc = *sc;
+                    let held = HeldCt::new(sc.ct);
+                    let held = if self
+                        .setup
+                        .plan
+                        .verify_proof(sc.proof.as_ref(), held.digest())
+                    {
+                        self.statuses
+                            .insert((origin, slot), SlotStatus::Accepted(*held.digest()));
+                        held
                     } else {
                         self.statuses.insert((origin, slot), SlotStatus::Rejected);
                         if !self.rejected.contains(&sc.device) {
                             self.rejected.push(sc.device);
                         }
-                        self.setup
+                        let neutral = self
+                            .setup
                             .plan
                             .neutral_ct(&self.setup.keys, &mut self.rng)
                             .map_err(|e| {
                                 NetError::Decode(format!("neutral encryption failed: {e}"))
-                            })?
+                            })?;
+                        HeldCt::new(neutral)
                     };
-                    self.contribs[origin as usize][slot as usize] = Some(ct);
+                    self.contribs[origin as usize][slot as usize] = Some(held);
                 }
                 NetMsg::Ack
             }
@@ -1901,7 +1953,12 @@ impl AggState {
                 let slots = &self.contribs[origin as usize];
                 let have = slots.iter().filter(|s| s.is_some()).count();
                 if have == slots.len() || (!self.replaying && self.contrib_deadline_passed()) {
-                    NetMsg::OriginJob { cts: slots.clone() }
+                    NetMsg::OriginJob {
+                        cts: slots
+                            .iter()
+                            .map(|s| s.as_ref().map(|held| held.ct().clone()))
+                            .collect(),
+                    }
                 } else {
                     NetMsg::OriginPending {
                         have: have as u32,
@@ -1917,7 +1974,7 @@ impl AggState {
                     return Ok(NetMsg::Finished);
                 }
                 if self.submissions[origin as usize].is_none() {
-                    self.submissions[origin as usize] = Some(*ct);
+                    self.submissions[origin as usize] = Some(HeldCt::new(*ct));
                     self.got_submissions += 1;
                 }
                 NetMsg::Ack
@@ -1950,7 +2007,13 @@ impl AggState {
                     NetMsg::CommitteeShareTask {
                         round: self.share_round,
                         participants: self.participants.clone(),
-                        ct: Box::new(self.aggregate.clone().expect("selection implies aggregate")),
+                        ct: Box::new(
+                            self.aggregate
+                                .as_ref()
+                                .expect("selection implies aggregate")
+                                .ct()
+                                .clone(),
+                        ),
                     }
                 } else {
                     NetMsg::CommitteeWait
@@ -2043,7 +2106,7 @@ impl AggState {
                     return Ok(NetMsg::Finished);
                 }
                 if self.submissions[shard as usize].is_none() {
-                    self.submissions[shard as usize] = Some(*root);
+                    self.submissions[shard as usize] = Some(HeldCt::new(*root));
                     self.got_submissions += 1;
                     for v in rejected {
                         if !self.rejected.contains(&v) {
@@ -2131,7 +2194,7 @@ impl AggState {
                 shard: *shard,
                 rejected,
                 commits,
-                root: Box::new(root.clone()),
+                root: Box::new(root.ct().clone()),
             }
         })
     }
@@ -3173,5 +3236,187 @@ pub fn run_driver(
         Ok(())
     } else {
         Err(NetError::Decode(failures.join("; ")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mycelium::plan::ciphertext_digest;
+
+    /// A device whose contributions fail their well-formedness proof, so
+    /// its slots hold the substituted `Enc(x^0)`.
+    const CHEATER: VertexId = 3;
+
+    impl AggState {
+        /// The full-rehash oracle: the checkpoint byte stream with every
+        /// held ciphertext re-serialized and re-hashed from its current
+        /// bytes instead of taken from the cache.
+        fn digest_full_rehash(&self) -> Digest {
+            self.digest_with(|held| ciphertext_digest(held.ct()))
+        }
+    }
+
+    fn spec(agg_shards: usize) -> RoundSpec {
+        RoundSpec {
+            with_proofs: true,
+            agg_shards,
+            ..RoundSpec::default()
+        }
+    }
+
+    /// One live request (encode, decode, journal, apply, fsync), after
+    /// which the cached digest must equal the full-rehash oracle.
+    fn checked(st: &mut AggState, msg: &NetMsg) -> NetMsg {
+        let raw = msg.encode();
+        let decoded = NetMsg::decode(&raw, &st.setup.cc).unwrap();
+        let reply = st.handle(decoded, &raw).unwrap();
+        assert_eq!(
+            st.digest(),
+            st.digest_full_rehash(),
+            "{}: cached digest diverged after {}",
+            st.who,
+            msg.kind()
+        );
+        reply
+    }
+
+    /// Pushes every contribution duty for an origin `st` owns. Every
+    /// duty is built, owned or not, so each device's ciphertexts do not
+    /// depend on the shard layout.
+    fn push_contributions(st: &mut AggState) {
+        let setup = Arc::clone(&st.setup);
+        for (v, duties) in setup.duties.iter().enumerate() {
+            let v = v as VertexId;
+            let mut rng = StdRng::seed_from_u64(1000 + v as u64);
+            for duty in duties {
+                let sc = setup
+                    .plan
+                    .build_contribution(&setup.keys, v, duty.exp, v == CHEATER, &mut rng)
+                    .unwrap();
+                if st.owns_origin(duty.origin) {
+                    let msg = NetMsg::PushContrib {
+                        origin: duty.origin,
+                        slot: duty.slot,
+                        sc: Box::new(sc),
+                    };
+                    assert!(matches!(checked(st, &msg), NetMsg::Ack));
+                }
+            }
+        }
+    }
+
+    /// Each owned origin in `origins` pulls its slots, combines them and
+    /// submits its row, as an origin process does.
+    fn submit_origins(st: &mut AggState, origins: std::ops::Range<u32>) {
+        let setup = Arc::clone(&st.setup);
+        for v in origins {
+            if !st.owns_origin(v) {
+                continue;
+            }
+            let NetMsg::OriginJob { cts } = checked(st, &NetMsg::PullOrigin { origin: v }) else {
+                panic!("origin {v}: every duty was pushed, the job must be ready");
+            };
+            let cts: Vec<Ciphertext> = cts.into_iter().map(Option::unwrap).collect();
+            let mut rng = StdRng::seed_from_u64(2000 + v as u64);
+            let work = &setup.works[v as usize];
+            let mut stats = ExecStats::default();
+            let row =
+                combine_origin(&setup.plan, &setup.keys, work, &cts, &mut stats, &mut rng).unwrap();
+            let msg = NetMsg::SubmitOrigin {
+                origin: v,
+                ct: Box::new(row),
+            };
+            assert!(matches!(checked(st, &msg), NetMsg::Ack));
+        }
+    }
+
+    /// Drives the committee from check-in to the sealed certificate and
+    /// checks that the cheater is the one rejected device.
+    fn committee_to_outcome(st: &mut AggState) {
+        let setup = Arc::clone(&st.setup);
+        let members = 1..=setup.committee_size as u64;
+        let checkin = |m: u64| NetMsg::CommitteeCheckIn {
+            member: m,
+            seed: [m as u8; 32],
+        };
+        // The first wave registers every member and selects; the second
+        // hands each participant its share task.
+        for _ in 0..2 {
+            for m in members.clone() {
+                if let NetMsg::CommitteeShareTask {
+                    round,
+                    participants,
+                    ct,
+                } = checked(st, &checkin(m))
+                {
+                    let mut rng = StdRng::seed_from_u64(3000 + m);
+                    let t = setup.plan.t_pt as i64;
+                    let share =
+                        decryption_share(&ct, &setup.key_shares, m, &participants, t, &mut rng)
+                            .unwrap();
+                    let msg = NetMsg::PushShare {
+                        member: m,
+                        round,
+                        share: Box::new(share),
+                    };
+                    checked(st, &msg);
+                }
+            }
+        }
+        for m in members {
+            let NetMsg::CertSignTask { transcript } = checked(st, &checkin(m)) else {
+                panic!("member {m}: the decided round asks for its signature");
+            };
+            let sig = sign_transcript(setup.spec.seed, m, &transcript);
+            checked(st, &NetMsg::PushCertSig { member: m, sig });
+        }
+        let Some(Ok(outcome)) = &st.outcome else {
+            panic!("{}: round did not decide: {:?}", st.who, st.failure());
+        };
+        assert_eq!(outcome.rejected, vec![CHEATER]);
+        assert!(st.certificate().is_some(), "certificate sealed");
+    }
+
+    #[test]
+    fn cached_digest_matches_full_rehash_through_a_recovered_hub_round() {
+        let setup = Arc::new(build_setup(&spec(1)).unwrap());
+        let n = setup.pop.graph.len() as u32;
+        let dir = std::env::temp_dir().join(format!("mycelium-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(files::JOURNAL);
+
+        let mut st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+        push_contributions(&mut st);
+        submit_origins(&mut st, 0..n / 2);
+        let pre_crash = st.digest();
+        drop(st);
+
+        // Recovery rebuilds every held ciphertext, and so its cached
+        // digest, from the replayed request bytes; the round continues.
+        let mut st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+        assert_eq!(st.digest(), pre_crash);
+        assert_eq!(st.digest_full_rehash(), pre_crash);
+        submit_origins(&mut st, n / 2..n);
+        assert!(st.aggregate.is_some(), "every row in: aggregate formed");
+        committee_to_outcome(&mut st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cached_digest_matches_full_rehash_in_every_shard_and_the_coordinator() {
+        let setup = Arc::new(build_setup(&spec(4)).unwrap());
+        let n = setup.pop.graph.len() as u32;
+        let mut coordinator = AggState::new(Arc::clone(&setup));
+        for shard in 0..4 {
+            let mut st = AggState::new_shard(Arc::clone(&setup), shard);
+            push_contributions(&mut st);
+            submit_origins(&mut st, 0..n);
+            let root = st.shard_root_msg().expect("shard sealed its root");
+            checked(&mut coordinator, &root);
+        }
+        assert!(coordinator.aggregate.is_some(), "every root in: combined");
+        committee_to_outcome(&mut coordinator);
     }
 }

@@ -12,10 +12,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use mycelium_bgv::{Ciphertext, Plaintext};
-use mycelium_cert::{sign_transcript, verify_bytes};
+use mycelium_cert::{sign_transcript, to_hex, verify_bytes, RoundCertificate};
 use mycelium_net::proto::NetMsg;
 use mycelium_net::round::{build_setup, files, AggState, BudgetCfg, RoundSetup, RoundSpec};
-use mycelium_net::{JournalError, NetError};
+use mycelium_net::{Journal, JournalError, NetError};
 use mycelium_sharing::threshold::decryption_share;
 
 use mycelium_math::rng::{SeedableRng, StdRng};
@@ -522,6 +522,79 @@ fn journal_bound_to_a_different_round_is_rejected() {
     assert!(
         matches!(err, NetError::Journal(JournalError::BindingMismatch { .. })),
         "expected BindingMismatch, got {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpoint format is a compatibility surface: journals written
+/// by an older build must still recover, so `AggState::digest` (and with
+/// it every `DIGEST` record) must hash exactly the same byte stream. One
+/// deterministic proof-carrying round — every contribution duty pushed,
+/// device 3 cheating so its slots hold a substituted `Enc(x^0)`, every
+/// origin row submitted, the aggregate formed, the certificate sealed —
+/// pins both values.
+#[test]
+fn state_digest_and_checkpoint_bytes_are_pinned() {
+    const STATE_DIGEST: &str = "d9c69981a99b4ed92a3304b1d7b1f3dc39b2db3f50ded80f94548cee903b8724";
+    const LAST_CHECKPOINT: &str =
+        "d9c69981a99b4ed92a3304b1d7b1f3dc39b2db3f50ded80f94548cee903b8724";
+    const CHEATER: u32 = 3;
+    // Journal record tag of a state-digest checkpoint.
+    const DIGEST_TAG: u8 = 6;
+    let spec = RoundSpec {
+        with_proofs: true,
+        ..test_spec()
+    };
+    let setup = Arc::new(build_setup(&spec).unwrap());
+    let dir = journal_dir("pinned");
+    let path = dir.join(files::JOURNAL);
+
+    let mut st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    for (v, duties) in setup.duties.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(1000 + v as u64);
+        for duty in duties {
+            let sc = setup
+                .plan
+                .build_contribution(
+                    &setup.keys,
+                    v as u32,
+                    duty.exp,
+                    v as u32 == CHEATER,
+                    &mut rng,
+                )
+                .unwrap();
+            let msg = NetMsg::PushContrib {
+                origin: duty.origin,
+                slot: duty.slot,
+                sc: Box::new(sc),
+            };
+            assert!(matches!(request(&mut st, &setup, &msg), NetMsg::Ack));
+        }
+    }
+    drive_to_outcome(&mut st, &setup);
+    for m in 1..=setup.committee_size as u64 {
+        push_cert_sig(&mut st, &setup, m);
+    }
+    let cert = RoundCertificate::decode(st.certificate().unwrap()).unwrap();
+    assert_eq!(
+        cert.rejected,
+        vec![CHEATER],
+        "the cheater's slots were substituted"
+    );
+    let state = to_hex(&st.digest());
+    drop(st);
+
+    let (_, records) = Journal::open(&path, &spec.coordinator_binding_digest()).unwrap();
+    let last = records
+        .iter()
+        .rev()
+        .find(|r| r.first() == Some(&DIGEST_TAG))
+        .expect("the journal holds a DIGEST checkpoint");
+    let checkpoint = to_hex(&last[1..]);
+    assert_eq!(
+        (state.as_str(), checkpoint.as_str()),
+        (STATE_DIGEST, LAST_CHECKPOINT),
+        "the state digest / checkpoint byte stream changed"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
