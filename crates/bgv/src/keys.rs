@@ -12,9 +12,10 @@
 //!   committees with VSR instead of regenerating per query).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-use mycelium_math::rng::Rng;
+use mycelium_math::rng::{Rng, StdRng};
 use mycelium_math::rns::{Representation, RnsContext, RnsPoly, ShoupPrecomp};
 use mycelium_math::sample;
 
@@ -58,6 +59,41 @@ pub struct RelinKey {
     keys: HashMap<usize, Vec<(ShoupPrecomp, ShoupPrecomp)>>,
 }
 
+/// Relinearization keys that may be derived on first use.
+///
+/// Key sets from [`KeySet::generate`] hold them derived. One from
+/// [`KeySet::with_deferred_relin`] holds the secret and the key-generation
+/// rng as it stood right after the public key instead, and derives the
+/// keys the first time they are dereferenced — from that same rng state,
+/// so they are bit-identical to the eager ones. Concurrent first uses
+/// derive once; the other callers wait for that result.
+#[derive(Debug, Clone)]
+pub struct LazyRelin {
+    key: OnceLock<RelinKey>,
+    source: Option<(SecretKey, StdRng)>,
+}
+
+impl LazyRelin {
+    /// Whether the keys have been derived yet.
+    pub fn is_derived(&self) -> bool {
+        self.key.get().is_some()
+    }
+}
+
+impl Deref for LazyRelin {
+    type Target = RelinKey;
+
+    fn deref(&self) -> &RelinKey {
+        self.key.get_or_init(|| {
+            let (secret, rng) = self
+                .source
+                .as_ref()
+                .expect("relin keys are either derived or deferred");
+            secret.relin_keys_all(&mut rng.clone())
+        })
+    }
+}
+
 /// A complete BGV key set.
 #[derive(Debug, Clone)]
 pub struct KeySet {
@@ -65,9 +101,9 @@ pub struct KeySet {
     pub secret: SecretKey,
     /// Public encryption key (distributed to every device).
     pub public: PublicKey,
-    /// Relinearization keys (published; needed by whoever relinearizes —
-    /// in Mycelium, the aggregator, since relinearization is deferred, §5).
-    pub relin: RelinKey,
+    /// Relinearization keys (published; needed only by whoever
+    /// relinearizes — whoever multiplies ciphertexts, §5).
+    pub relin: LazyRelin,
 }
 
 impl SecretKey {
@@ -234,10 +270,36 @@ impl KeySet {
         let secret = SecretKey::generate(params, &ctx, rng);
         let public = secret.public_key(rng);
         let relin = secret.relin_keys_all(rng);
+        Self::with_relin(secret, public, relin)
+    }
+
+    /// The key set [`KeySet::generate`] draws from `rng`, except that the
+    /// relinearization keys are derived on first use (see [`LazyRelin`]).
+    /// Taking the rng by value leaves no caller able to draw after keygen,
+    /// where the eager and deferred paths would part.
+    pub fn with_deferred_relin(params: &BgvParams, mut rng: StdRng) -> Self {
+        let ctx = params.build_context();
+        let secret = SecretKey::generate(params, &ctx, &mut rng);
+        let public = secret.public_key(&mut rng);
+        let relin = LazyRelin {
+            key: OnceLock::new(),
+            source: Some((secret.clone(), rng)),
+        };
         Self {
             secret,
             public,
             relin,
+        }
+    }
+
+    fn with_relin(secret: SecretKey, public: PublicKey, relin: RelinKey) -> Self {
+        Self {
+            secret,
+            public,
+            relin: LazyRelin {
+                key: OnceLock::from(relin),
+                source: None,
+            },
         }
     }
 
@@ -253,11 +315,7 @@ impl KeySet {
         let secret = SecretKey::generate(params, &ctx, rng);
         let public = secret.public_key(rng);
         let relin = secret.relin_keys(levels, rng);
-        Self {
-            secret,
-            public,
-            relin,
-        }
+        Self::with_relin(secret, public, relin)
     }
 }
 
@@ -338,6 +396,53 @@ mod tests {
             let mod_t = te.crt_centered_mod(params.plaintext_modulus);
             assert!(mod_t.iter().all(|&x| x == 0), "key {j} is not well formed");
         }
+    }
+
+    #[test]
+    fn deferred_relin_key_equals_the_eager_one_at_every_level() {
+        let params = BgvParams::test_small();
+        for seed in [6, 7] {
+            let eager = KeySet::generate(&params, &mut StdRng::seed_from_u64(seed));
+            let deferred = KeySet::with_deferred_relin(&params, StdRng::seed_from_u64(seed));
+            assert!(!deferred.relin.is_derived());
+            assert_eq!(deferred.public.b().poly(), eager.public.b().poly());
+            assert_eq!(deferred.relin.levels(), eager.relin.levels());
+            for l in eager.relin.levels() {
+                let pairs = eager.relin.at_level(l).unwrap();
+                let lazy = deferred.relin.at_level(l).unwrap();
+                assert_eq!(lazy.len(), pairs.len());
+                for ((b, a), (lb, la)) in pairs.iter().zip(lazy) {
+                    assert_eq!(
+                        lb.poly().residues(),
+                        b.poly().residues(),
+                        "seed {seed} level {l}"
+                    );
+                    assert_eq!(
+                        la.poly().residues(),
+                        a.poly().residues(),
+                        "seed {seed} level {l}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_first_uses_derive_one_relin_key() {
+        let params = BgvParams::test_small();
+        let keys = KeySet::with_deferred_relin(&params, StdRng::seed_from_u64(8));
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|scope| {
+            let first_use = || {
+                barrier.wait();
+                &*keys.relin as *const RelinKey as usize
+            };
+            let a = scope.spawn(first_use);
+            let b = scope.spawn(first_use);
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(a, b, "both threads see the one derived key");
+        assert!(keys.relin.is_derived());
     }
 
     #[test]

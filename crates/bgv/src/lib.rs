@@ -26,5 +26,5 @@ pub mod noise;
 pub mod params;
 
 pub use ciphertext::{BgvError, Ciphertext, Plaintext, PreparedPlaintext};
-pub use keys::{KeySet, PublicKey, RelinKey, SecretKey};
+pub use keys::{KeySet, LazyRelin, PublicKey, RelinKey, SecretKey};
 pub use params::BgvParams;

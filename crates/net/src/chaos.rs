@@ -786,11 +786,10 @@ pub fn run_chaos(
         for cp in children.iter_mut() {
             cp.watch()?;
         }
-        // Single-attempt status poll (never blocks: this loop must keep
-        // supervising while the aggregator is down). Once the round
-        // reports finished the poller hangs up and goes quiet — the
-        // aggregator joins its workers on exit, and an open, chattering
-        // connection would keep one busy forever.
+        // Single-attempt status poll (never blocks for long: this loop
+        // must keep supervising while the aggregator is down; the
+        // aggregator holds the poll for at most its hold bound). Once the
+        // round reports finished the poller hangs up and goes quiet.
         if !finished {
             if let Ok(NetMsg::Finished) = driver.poll_once(&setup, &NetMsg::PullStatus) {
                 finished = true;

@@ -6,8 +6,7 @@
 //!
 //! Round flags (shared by every role so each process derives identical
 //! state): `--seed N --n N --query NAME --devices D --origins O
-//! --shards S --proofs 0|1 --contrib-ms MS --poll-ms MS --timeout-ms MS
-//! --io-ms MS`.
+//! --shards S --proofs 0|1 --contrib-ms MS --timeout-ms MS --io-ms MS`.
 //!
 //! Net-chaos flags: `--net-seed N` (deterministic link-fault plan
 //! derived from N; 0 is the empty plan) or `--net-drill` (the fixed
@@ -90,9 +89,6 @@ pub fn parse_args(rest: &[String]) -> Result<Args, String> {
             "--proofs" => args.spec.with_proofs = value("--proofs")? == "1",
             "--contrib-ms" => {
                 args.spec.contrib_deadline = Duration::from_millis(parse(value("--contrib-ms")?)?)
-            }
-            "--poll-ms" => {
-                args.spec.poll_interval = Duration::from_millis(parse(value("--poll-ms")?)?)
             }
             "--timeout-ms" => {
                 args.spec.round_timeout = Duration::from_millis(parse(value("--timeout-ms")?)?)

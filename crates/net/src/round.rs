@@ -10,7 +10,8 @@
 //! ## Topology
 //!
 //! The **aggregator** is the only server (a hub). Devices, origins,
-//! committee members, and the driver are polling clients:
+//! committee members, and the driver are its clients; the polls among
+//! their requests are held at the server (see *Held polls*):
 //!
 //! * **Device processes** shard the per-vertex contribution duties:
 //!   each encrypts its vertices' `x^e` monomials and pushes them
@@ -28,6 +29,22 @@
 //!   crashed origin once — all protocol state lives at the aggregator,
 //!   so a respawned origin recovers by re-pulling), polls `PullStatus`,
 //!   and merges every process's wire metrics into one JSON artifact.
+//!
+//! ## Held polls
+//!
+//! No client sleeps between polls. The server holds the four polls —
+//! `PullOrigin`, `CommitteeCheckIn`, `PullStatus`, `PullShardStatus` —
+//! while their answer is still "nothing yet" (`OriginPending`,
+//! `CommitteeWait`): the worker waits on a condvar paired with the
+//! state's mutex, notified after every handled request and by the main
+//! loop's ticks, and answers as soon as the answer changes, or with
+//! "nothing yet" after a fixed hold (250 ms, well inside every client io
+//! deadline), upon which the client asks again. The hold lives in the
+//! server's serve path only: [`AggState::handle`] stays non-blocking, a
+//! held poll journals nothing beyond its first evaluation, and it is
+//! never counted as a duplicate. The aggregator and shard main loops
+//! wait on the same condvar, for at most 20 ms so wall-clock deadlines
+//! still fire on time.
 //!
 //! ## Durability
 //!
@@ -57,7 +74,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mycelium::decode::decode_aggregate;
@@ -94,7 +111,7 @@ use crate::journal::{Journal, JournalError};
 use crate::lock_recover;
 use crate::metrics::NetMetrics;
 use crate::proto::NetMsg;
-use crate::server::{Server, ServerConfig};
+use crate::server::{Handler, Server, ServerConfig};
 use crate::wire::{Reader, Writer};
 
 /// Transport role ids (feed [`Identity::derive`]).
@@ -201,8 +218,6 @@ pub struct RoundSpec {
     pub budget_wal: Option<PathBuf>,
     /// How long origins may wait for missing contributions.
     pub contrib_deadline: Duration,
-    /// Client poll interval.
-    pub poll_interval: Duration,
     /// Hard wall-clock cap on the whole round.
     pub round_timeout: Duration,
     /// Per-request client I/O deadline (read/handshake). A stalled peer
@@ -229,7 +244,6 @@ impl Default for RoundSpec {
             budget: None,
             budget_wal: None,
             contrib_deadline: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(25),
             round_timeout: Duration::from_secs(600),
             io_timeout: Duration::from_secs(20),
             net: None,
@@ -257,8 +271,6 @@ impl RoundSpec {
             (self.with_proofs as u8).to_string(),
             "--contrib-ms".into(),
             self.contrib_deadline.as_millis().to_string(),
-            "--poll-ms".into(),
-            self.poll_interval.as_millis().to_string(),
             "--timeout-ms".into(),
             self.round_timeout.as_millis().to_string(),
             "--io-ms".into(),
@@ -296,7 +308,7 @@ impl RoundSpec {
     }
 
     /// Digest binding a write-ahead journal to this round's *state*
-    /// configuration. Timing knobs (deadlines, poll interval) are
+    /// configuration. Timing knobs (deadlines, timeouts) are
     /// deliberately excluded: a respawn may retune them without
     /// invalidating the journaled protocol state.
     pub fn binding_digest(&self) -> Digest {
@@ -458,8 +470,9 @@ pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
     let pop = build_population(spec);
     let query = paper_query(&spec.query)
         .ok_or_else(|| NetError::Decode(format!("unknown paper query {}", spec.query)))?;
-    let mut keys_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::KEYS);
-    let keys = KeySet::generate(&params.bgv, &mut keys_rng);
+    // Only origins relinearize, so only they pay for the relin keys.
+    let keys_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::KEYS);
+    let keys = KeySet::with_deferred_relin(&params.bgv, keys_rng);
     let c = params.committee_size;
     let t = c / 2;
     let mut deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(u64::MAX);
@@ -2161,6 +2174,16 @@ impl AggState {
         Ok(reply)
     }
 
+    /// Re-evaluates a held poll after a state change. Its first
+    /// evaluation went through [`AggState::handle`], which journaled
+    /// whatever it wrote; this is [`AggState::apply`] alone, so it writes
+    /// no journal record and counts no duplicate.
+    fn repoll(&mut self, poll: &NetMsg) -> Result<NetMsg, NetError> {
+        let poll = held_poll(poll).expect("only polls are held");
+        debug_assert!(!self.mutates(&poll), "a held poll never mutates");
+        self.apply(poll)
+    }
+
     /// Whether the round has produced an outcome (success or typed
     /// failure).
     pub fn is_finished(&self) -> bool {
@@ -2222,6 +2245,147 @@ impl AggState {
             Some(Err(e)) => Some(e.clone()),
             _ => None,
         }
+    }
+}
+
+/// How long a poll whose answer is still "nothing yet" is held at the
+/// server, waiting for a state change, before that answer goes out —
+/// well inside every client io deadline.
+const POLL_HOLD: Duration = Duration::from_millis(250);
+
+/// Longest the aggregator and shard main loops wait for a state change
+/// before ticking anyway, so wall-clock deadlines fire on time.
+const TICK_EVERY: Duration = Duration::from_millis(20);
+
+/// A copy of `msg` if it is one of the polls the server may hold:
+/// `PullOrigin`, `CommitteeCheckIn`, `PullStatus`, `PullShardStatus`.
+fn held_poll(msg: &NetMsg) -> Option<NetMsg> {
+    Some(match *msg {
+        NetMsg::PullOrigin { origin } => NetMsg::PullOrigin { origin },
+        NetMsg::CommitteeCheckIn { member, seed } => NetMsg::CommitteeCheckIn { member, seed },
+        NetMsg::PullStatus => NetMsg::PullStatus,
+        NetMsg::PullShardStatus { shard } => NetMsg::PullShardStatus { shard },
+        _ => return None,
+    })
+}
+
+/// Whether a poll's reply is the "nothing yet" answer.
+fn nothing_yet(reply: &NetMsg) -> bool {
+    matches!(reply, NetMsg::OriginPending { .. } | NetMsg::CommitteeWait)
+}
+
+/// An [`AggState`] shared by a server's workers and its main loop. The
+/// condvar is notified after every handled request and by the main
+/// loop's ticks; held polls and the main loop wait on it instead of
+/// sleeping.
+struct SharedAgg {
+    state: Mutex<AggState>,
+    changed: Condvar,
+}
+
+impl SharedAgg {
+    fn new(st: AggState) -> Arc<Self> {
+        Arc::new(SharedAgg {
+            state: Mutex::new(st),
+            changed: Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, AggState> {
+        lock_recover(&self.state)
+    }
+
+    /// Releases `st` until a notification or `timeout`; `true` when the
+    /// wait timed out.
+    fn wait<'a>(
+        &self,
+        st: MutexGuard<'a, AggState>,
+        timeout: Duration,
+    ) -> (MutexGuard<'a, AggState>, bool) {
+        let (st, wait) = self
+            .changed
+            .wait_timeout(st, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        (st, wait.timed_out())
+    }
+
+    /// Serves one live request through [`AggState::handle`]. A poll whose
+    /// answer is still "nothing yet" is then held for up to
+    /// [`POLL_HOLD`], re-evaluated ([`AggState::repoll`]) on every
+    /// notification, and answered as soon as that answer changes.
+    fn serve(&self, msg: NetMsg, raw: &[u8]) -> Result<NetMsg, NetError> {
+        let hold_until = Instant::now() + POLL_HOLD;
+        let poll = held_poll(&msg);
+        let mut st = self.lock();
+        let reply = st.handle(msg, raw);
+        self.changed.notify_all();
+        let mut reply = reply?;
+        let Some(poll) = poll else { return Ok(reply) };
+        while nothing_yet(&reply) {
+            let now = Instant::now();
+            if now >= hold_until {
+                break;
+            }
+            st = self.wait(st, hold_until - now).0;
+            reply = st.repoll(&poll)?;
+            if !nothing_yet(&reply) {
+                // The final answer may be liveness the main loop waits
+                // on (the driver or a member saw `Finished`).
+                self.changed.notify_all();
+            }
+        }
+        Ok(reply)
+    }
+
+    /// One main-loop step: waits for a notification or [`TICK_EVERY`],
+    /// then runs the due wall-clock transitions and makes them durable.
+    /// Held polls are woken when that journaled something, and on every
+    /// idle step, so wall-clock conditions (the contribution deadline)
+    /// reach them within [`TICK_EVERY`].
+    fn step<'a>(&self, st: MutexGuard<'a, AggState>) -> MutexGuard<'a, AggState> {
+        let (mut st, idle) = self.wait(st, TICK_EVERY);
+        let records = st.journal_records();
+        if let Err(e) = st.tick().and_then(|_| st.flush()) {
+            st.fail(format!("journal failure: {e}"));
+        }
+        if idle || st.journal_records() != records {
+            self.changed.notify_all();
+        }
+        st
+    }
+
+    /// The server handler: decode, [`SharedAgg::serve`], encode — plus
+    /// the chaos hook that aborts after the Nth handled request of one
+    /// kind, once the mutation is journaled and fsync'd but before the
+    /// client sees the reply, which it must retry into the respawned
+    /// process's idempotent path.
+    fn handler(
+        self: &Arc<Self>,
+        setup: &Arc<RoundSetup>,
+        die_after: Option<(String, u32)>,
+    ) -> Arc<dyn Handler> {
+        let shared = Arc::clone(self);
+        let setup = Arc::clone(setup);
+        let who = shared.lock().who().to_string();
+        let die_count = Mutex::new(0u32);
+        Arc::new(
+            move |_peer: [u8; 32], request: &[u8]| -> Result<Vec<u8>, NetError> {
+                let msg = NetMsg::decode(request, &setup.cc)?;
+                let kind = msg.kind();
+                let reply = shared.serve(msg, request)?;
+                if let Some((k, n)) = &die_after {
+                    if kind == k.as_str() {
+                        let mut count = lock_recover(&die_count);
+                        *count += 1;
+                        if *count == *n {
+                            eprintln!("{who}: chaos kill after {n} {k}");
+                            std::process::abort();
+                        }
+                    }
+                }
+                Ok(reply.encode())
+            },
+        )
     }
 }
 
@@ -2324,32 +2488,8 @@ pub fn run_aggregator(
             .unwrap_or_else(|| out_dir.join(files::BUDGET_WAL));
         st.install_budget(&wal_path)?;
     }
-    let state = Arc::new(Mutex::new(st));
-    let handler_state = Arc::clone(&state);
-    let handler_setup = Arc::clone(&setup);
-    let die_after = faults.die_after.clone();
-    let die_count = Arc::new(Mutex::new(0u32));
-    let handler = Arc::new(
-        move |_peer: [u8; 32], request: &[u8]| -> Result<Vec<u8>, NetError> {
-            let msg = NetMsg::decode(request, &handler_setup.cc)?;
-            let kind = msg.kind();
-            let reply = lock_recover(&handler_state).handle(msg, request)?;
-            if let Some((k, n)) = &die_after {
-                if kind == k.as_str() {
-                    let mut count = lock_recover(&die_count);
-                    *count += 1;
-                    if *count == *n {
-                        // Chaos: the mutation is journaled and fsync'd but
-                        // the client never sees the reply — it must retry
-                        // into the respawned aggregator's idempotent path.
-                        eprintln!("aggregator: chaos kill after {n} {k}");
-                        std::process::abort();
-                    }
-                }
-            }
-            Ok(reply.encode())
-        },
-    );
+    let shared = SharedAgg::new(st);
+    let handler = shared.handler(&setup, faults.die_after.clone());
     let config = ServerConfig {
         workers: spec.device_shards
             + spec.origin_shards
@@ -2388,12 +2528,9 @@ pub fn run_aggregator(
 
     let started = Instant::now();
     let mut outcome_since: Option<Instant> = None;
-    let (result, cert_json) = loop {
-        std::thread::sleep(Duration::from_millis(20));
-        let mut s = lock_recover(&state);
-        if let Err(e) = s.tick().and_then(|_| s.flush()) {
-            s.fail(format!("journal failure: {e}"));
-        }
+    let mut s = shared.lock();
+    loop {
+        s = shared.step(s);
         if s.round_done() {
             let since = *outcome_since.get_or_insert_with(Instant::now);
             // Committee members (and shards) that died after the
@@ -2407,32 +2544,34 @@ pub fn run_aggregator(
             let all_observed = s.finished_seen.len() == setup.committee_size
                 && s.finished_shards.len() == shards_expected;
             if s.driver_seen && (all_observed || since.elapsed() >= FINISH_GRACE) {
-                let json = s.certificate_json();
-                break (s.outcome.take().expect("checked"), json);
+                break;
             }
         }
         if started.elapsed() >= spec.round_timeout {
-            let json = s.certificate_json();
-            break (
-                s.outcome.take().unwrap_or_else(|| {
-                    Err(format!(
-                        "round did not converge within {:?}",
-                        spec.round_timeout
-                    ))
-                }),
-                json,
-            );
+            break;
         }
-    };
+    }
+    // The outcome stays in the state, so a request still in flight keeps
+    // seeing the round finished until the server shuts down.
+    let timed_out = Err(format!(
+        "round did not converge within {:?}",
+        spec.round_timeout
+    ));
+    let outcome = s.outcome.as_ref().unwrap_or(&timed_out);
+    let result = outcome.as_ref().map(|_| ()).map_err(String::clone);
+    let outcome_bytes = encode_outcome(outcome);
+    let cert_json = s.certificate_json();
+    let duplicates = s.duplicates_suppressed();
+    drop(s);
     // The certificate lands on disk *before* the outcome file: the
     // outcome is the durable end-of-round signal lingering roles watch,
     // so nobody can observe a finished round with a missing certificate.
     if let Some(json) = cert_json {
         std::fs::write(out_dir.join(files::CERT_JSON), json)?;
     }
-    std::fs::write(out_dir.join(files::OUTCOME), encode_outcome(&result))?;
+    std::fs::write(out_dir.join(files::OUTCOME), outcome_bytes)?;
     let mut metrics = lock_recover(&server.metrics()).clone();
-    metrics.duplicates_suppressed += lock_recover(&state).duplicates_suppressed();
+    metrics.duplicates_suppressed += duplicates;
     write_metrics(out_dir, "aggregator", &metrics)?;
     if let Some(p) = proxy {
         std::fs::write(
@@ -2470,30 +2609,8 @@ pub fn run_shard(
         &out_dir.join(files::shard_journal(shard)),
     )?;
     st.set_faults(faults);
-    let who = st.who().to_string();
-    let state = Arc::new(Mutex::new(st));
-    let handler_state = Arc::clone(&state);
-    let handler_setup = Arc::clone(&setup);
-    let die_after = faults.die_after.clone();
-    let die_count = Arc::new(Mutex::new(0u32));
-    let handler = Arc::new(
-        move |_peer: [u8; 32], request: &[u8]| -> Result<Vec<u8>, NetError> {
-            let msg = NetMsg::decode(request, &handler_setup.cc)?;
-            let kind = msg.kind();
-            let reply = lock_recover(&handler_state).handle(msg, request)?;
-            if let Some((k, n)) = &die_after {
-                if kind == k.as_str() {
-                    let mut count = lock_recover(&die_count);
-                    *count += 1;
-                    if *count == *n {
-                        eprintln!("{who}: chaos kill after {n} {k}");
-                        std::process::abort();
-                    }
-                }
-            }
-            Ok(reply.encode())
-        },
-    );
+    let shared = SharedAgg::new(st);
+    let handler = shared.handler(&setup, faults.die_after.clone());
     let config = ServerConfig {
         workers: spec.device_shards + spec.origin_shards + 3,
         roster: Some(setup.roster()),
@@ -2529,12 +2646,8 @@ pub fn run_shard(
     let mut root_msg: Option<NetMsg> = None;
     let mut root_acked = false;
     let result = loop {
-        std::thread::sleep(Duration::from_millis(20));
         {
-            let mut s = lock_recover(&state);
-            if let Err(e) = s.tick().and_then(|_| s.flush()) {
-                s.fail(format!("journal failure: {e}"));
-            }
+            let s = shared.step(shared.lock());
             if let Some(e) = s.failure() {
                 break Err(NetError::Decode(format!("shard {shard} failed: {e}")));
             }
@@ -2576,7 +2689,7 @@ pub fn run_shard(
     };
     let mut metrics = lock_recover(&server.metrics()).clone();
     metrics.merge(&coord.metrics());
-    metrics.duplicates_suppressed += lock_recover(&state).duplicates_suppressed();
+    metrics.duplicates_suppressed += shared.lock().duplicates_suppressed();
     write_metrics(out_dir, &format!("shard-{shard}"), &metrics)?;
     if let Some(p) = proxy {
         std::fs::write(
@@ -2639,6 +2752,10 @@ fn request_msg(client: &mut Client, cc: &CodecCtx, msg: &NetMsg) -> Result<NetMs
     NetMsg::decode(&reply, cc)
 }
 
+/// Cap on the full-jitter pause before a [`HubClient`] re-sends after a
+/// failed exchange.
+const RETRY_JITTER_MS: u64 = 50;
+
 /// A client of the aggregator hub that survives aggregator respawns:
 /// when the inner [`Client`]'s retries exhaust, it re-reads the
 /// `agg.addr` file — a respawned aggregator binds a fresh port and
@@ -2652,7 +2769,6 @@ pub(crate) struct HubClient {
     server_pub: [u8; 32],
     addr: SocketAddr,
     deadline: Instant,
-    poll: Duration,
     // One retry budget *spanning* reconnects and address re-resolutions
     // (the inner client's schedule restarts from zero on every redial;
     // this one does not). Reset only by a successful exchange.
@@ -2675,7 +2791,6 @@ impl HubClient {
             server_pub,
             addr,
             deadline: Instant::now() + setup.spec.round_timeout,
-            poll: setup.spec.poll_interval.max(Duration::from_millis(50)),
             span_attempts: 0,
             span_budget: Self::span_budget(),
             jitter_rng: Self::jitter_rng(setup, role_id),
@@ -2725,7 +2840,6 @@ impl HubClient {
             server_pub,
             addr,
             deadline,
-            poll: setup.spec.poll_interval.max(Duration::from_millis(50)),
             span_attempts: 0,
             span_budget: Self::span_budget(),
             jitter_rng: Self::jitter_rng(setup, role_id),
@@ -2790,11 +2904,9 @@ impl HubClient {
                         }
                     }
                     self.client.disconnect();
-                    // Full jitter over the poll interval decorrelates
-                    // the re-poll storm when every client loses the
-                    // same server at once.
-                    let cap = (self.poll.as_millis() as u64).max(1);
-                    let wait = self.jitter_rng.gen_range(1..=cap);
+                    // Full jitter decorrelates the re-poll storm when
+                    // every client loses the same server at once.
+                    let wait = self.jitter_rng.gen_range(1..=RETRY_JITTER_MS);
                     std::thread::sleep(Duration::from_millis(wait));
                 }
                 Err(e) => return Err(e),
@@ -2929,7 +3041,8 @@ pub fn run_origin(
         let slots = loop {
             match hub.request_msg(&setup, &NetMsg::PullOrigin { origin: v as u32 })? {
                 NetMsg::OriginJob { cts } => break cts,
-                NetMsg::OriginPending { .. } => std::thread::sleep(spec.poll_interval),
+                // The server held the poll until its hold ran out: ask again.
+                NetMsg::OriginPending { .. } => {}
                 // The round is over (possibly refused by the budget
                 // ledger): no origin work left to do.
                 NetMsg::Finished => break 'vertices,
@@ -2997,7 +3110,8 @@ pub fn run_committee(
         let reply = hub.request_msg(&setup, &NetMsg::CommitteeCheckIn { member, seed })?;
         match reply {
             NetMsg::Finished => break,
-            NetMsg::CommitteeWait => std::thread::sleep(spec.poll_interval),
+            // The server held the check-in until its hold ran out.
+            NetMsg::CommitteeWait => {}
             NetMsg::CommitteeShareTask {
                 round,
                 participants,
@@ -3193,7 +3307,6 @@ pub fn run_driver(
             // the client already retried, so just keep polling.
             Err(_) => {}
         }
-        std::thread::sleep(spec.poll_interval.max(Duration::from_millis(50)));
     };
 
     // Drain every child, then the aggregator itself.
@@ -3331,19 +3444,20 @@ mod tests {
         }
     }
 
-    /// Drives the committee from check-in to the sealed certificate and
-    /// checks that the cheater is the one rejected device.
-    fn committee_to_outcome(st: &mut AggState) {
-        let setup = Arc::clone(&st.setup);
-        let members = 1..=setup.committee_size as u64;
-        let checkin = |m: u64| NetMsg::CommitteeCheckIn {
+    fn checkin(m: u64) -> NetMsg {
+        NetMsg::CommitteeCheckIn {
             member: m,
             seed: [m as u8; 32],
-        };
-        // The first wave registers every member and selects; the second
-        // hands each participant its share task.
+        }
+    }
+
+    /// Drives the committee from check-in to the decided outcome: the
+    /// first wave registers every member and selects; the second hands
+    /// each participant its share task.
+    fn committee_decides(st: &mut AggState) {
+        let setup = Arc::clone(&st.setup);
         for _ in 0..2 {
-            for m in members.clone() {
+            for m in 1..=setup.committee_size as u64 {
                 if let NetMsg::CommitteeShareTask {
                     round,
                     participants,
@@ -3364,12 +3478,24 @@ mod tests {
                 }
             }
         }
-        for m in members {
-            let NetMsg::CertSignTask { transcript } = checked(st, &checkin(m)) else {
-                panic!("member {m}: the decided round asks for its signature");
-            };
-            let sig = sign_transcript(setup.spec.seed, m, &transcript);
-            checked(st, &NetMsg::PushCertSig { member: m, sig });
+    }
+
+    /// Member `m`'s certificate signature, as its check-in asks for it.
+    fn cert_sig(st: &mut AggState, m: u64) -> NetMsg {
+        let NetMsg::CertSignTask { transcript } = checked(st, &checkin(m)) else {
+            panic!("member {m}: the decided round asks for its signature");
+        };
+        let sig = sign_transcript(st.setup.spec.seed, m, &transcript);
+        NetMsg::PushCertSig { member: m, sig }
+    }
+
+    /// Drives the committee from check-in to the sealed certificate and
+    /// checks that the cheater is the one rejected device.
+    fn committee_to_outcome(st: &mut AggState) {
+        committee_decides(st);
+        for m in 1..=st.setup.committee_size as u64 {
+            let sig = cert_sig(st, m);
+            checked(st, &sig);
         }
         let Some(Ok(outcome)) = &st.outcome else {
             panic!("{}: round did not decide: {:?}", st.who, st.failure());
@@ -3418,5 +3544,144 @@ mod tests {
         }
         assert!(coordinator.aggregate.is_some(), "every root in: combined");
         committee_to_outcome(&mut coordinator);
+    }
+
+    /// One live request through the server's serve path, held polls
+    /// included; returns the reply and how long it took.
+    fn serve(shared: &SharedAgg, msg: &NetMsg) -> (NetMsg, Duration) {
+        let raw = msg.encode();
+        let setup = Arc::clone(&shared.lock().setup);
+        let decoded = NetMsg::decode(&raw, &setup.cc).unwrap();
+        let t = Instant::now();
+        let reply = shared.serve(decoded, &raw).unwrap();
+        (reply, t.elapsed())
+    }
+
+    /// Serves `msg` on another thread once the calling thread moves on.
+    fn serve_in_background(
+        shared: &Arc<SharedAgg>,
+        msg: NetMsg,
+    ) -> std::thread::JoinHandle<(NetMsg, Duration)> {
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || serve(&shared, &msg))
+    }
+
+    /// What the journal and the protocol state look like from outside.
+    fn footprint(shared: &SharedAgg) -> (u64, Digest, u64) {
+        let st = shared.lock();
+        (
+            st.journal_records(),
+            st.digest(),
+            st.duplicates_suppressed(),
+        )
+    }
+
+    #[test]
+    fn held_polls_wait_for_the_state_and_write_nothing() {
+        let setup = Arc::new(build_setup(&RoundSpec::default()).unwrap());
+        let dir = std::env::temp_dir().join(format!("mycelium-held-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut st = AggState::recover(Arc::clone(&setup), &dir.join(files::JOURNAL)).unwrap();
+
+        // Every duty of one origin but its last slot is in.
+        let (v, work) = setup
+            .works
+            .iter()
+            .enumerate()
+            .find(|(_, w)| w.requests.len() >= 2)
+            .expect("some origin has two slots");
+        let v = v as u32;
+        let mut pushes: Vec<NetMsg> = Vec::new();
+        for (w, duties) in setup.duties.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(1000 + w as u64);
+            for duty in duties.iter().filter(|d| d.origin == v) {
+                let sc = setup
+                    .plan
+                    .build_contribution(&setup.keys, w as VertexId, duty.exp, false, &mut rng)
+                    .unwrap();
+                pushes.push(NetMsg::PushContrib {
+                    origin: v,
+                    slot: duty.slot,
+                    sc: Box::new(sc),
+                });
+            }
+        }
+        assert_eq!(pushes.len(), work.requests.len());
+        let last = pushes.pop().unwrap();
+        for push in &pushes {
+            assert!(matches!(checked(&mut st, push), NetMsg::Ack));
+        }
+        let shared = SharedAgg::new(st);
+
+        // With no state change the poll is held for the whole bound and
+        // answered "nothing yet", leaving journal and state untouched.
+        let before = footprint(&shared);
+        let (reply, took) = serve(&shared, &NetMsg::PullOrigin { origin: v });
+        assert!(
+            matches!(reply, NetMsg::OriginPending { .. }),
+            "{}",
+            reply.kind()
+        );
+        assert!(took >= POLL_HOLD, "released after {took:?}");
+        assert!(took < POLL_HOLD * 4, "held for {took:?}");
+        assert_eq!(footprint(&shared), before);
+
+        // A member's first check-in journals its seed, as an unheld one
+        // does; holding it and checking in again write nothing more.
+        let (reply, _) = serve(&shared, &checkin(1));
+        assert!(matches!(reply, NetMsg::CommitteeWait), "{}", reply.kind());
+        let registered = footprint(&shared);
+        assert!(registered.0 > before.0, "the seed is journaled");
+        let (reply, took) = serve(&shared, &checkin(1));
+        assert!(matches!(reply, NetMsg::CommitteeWait), "{}", reply.kind());
+        assert!(took >= POLL_HOLD, "released after {took:?}");
+        assert_eq!(footprint(&shared), registered);
+
+        // The last contribution, handled on another worker, releases the
+        // held poll with the job at once.
+        let poll = serve_in_background(&shared, NetMsg::PullOrigin { origin: v });
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(matches!(serve(&shared, &last).0, NetMsg::Ack));
+        let (reply, took) = poll.join().unwrap();
+        let NetMsg::OriginJob { cts } = reply else {
+            panic!("expected the origin job, got {}", reply.kind());
+        };
+        assert!(cts.iter().all(Option::is_some));
+        assert!(took < POLL_HOLD, "released after {took:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn held_checkin_and_status_are_released_with_finished() {
+        let setup = Arc::new(build_setup(&spec(1)).unwrap());
+        let n = setup.pop.graph.len() as u32;
+        let c = setup.committee_size as u64;
+        let mut st = AggState::new(Arc::clone(&setup));
+        push_contributions(&mut st);
+        submit_origins(&mut st, 0..n);
+        committee_decides(&mut st);
+        for m in 1..c {
+            let sig = cert_sig(&mut st, m);
+            checked(&mut st, &sig);
+        }
+        let last_sig = cert_sig(&mut st, c);
+        let shared = SharedAgg::new(st);
+
+        // Member 1 has signed and the driver waits: both polls are held
+        // until the last signature seals the certificate.
+        let member = serve_in_background(&shared, checkin(1));
+        let driver = serve_in_background(&shared, NetMsg::PullStatus);
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!shared.lock().round_done());
+        assert!(matches!(serve(&shared, &last_sig).0, NetMsg::Ack));
+        for held in [member, driver] {
+            let (reply, took) = held.join().unwrap();
+            assert!(matches!(reply, NetMsg::Finished), "{}", reply.kind());
+            assert!(took < POLL_HOLD, "released after {took:?}");
+        }
+        let st = shared.lock();
+        assert!(st.driver_seen && st.finished_seen.contains(&1));
+        assert!(st.certificate().is_some());
     }
 }

@@ -13,13 +13,18 @@
 //! handler, write one sealed reply. Handlers must therefore be
 //! *idempotent* — a client that times out re-sends the same request over
 //! a fresh connection, so the server may see a request twice.
+//!
+//! Shutdown polls no timer: every open session is registered, and
+//! [`Server::shutdown`] closes the idle ones at once, lets the ones
+//! whose request is being handled send their reply first, and the
+//! workers exit when the accept thread drops the queue.
 
-use std::collections::HashSet;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mycelium_math::rng::{SeedableRng, StdRng};
 
@@ -53,9 +58,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Largest accepted application payload.
     pub max_payload: usize,
-    /// How long a worker blocks on an idle connection before polling the
-    /// shutdown flag.
-    pub idle_timeout: Duration,
     /// Deadline on the server-side handshake: a peer that connects and
     /// then stalls is cut loose instead of parking a worker forever.
     pub handshake_timeout: Duration,
@@ -72,7 +74,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             max_payload: crate::frame::DEFAULT_MAX_PAYLOAD,
-            idle_timeout: Duration::from_millis(200),
             handshake_timeout: Duration::from_secs(5),
             idle_reap: Duration::from_secs(60),
             roster: None,
@@ -85,11 +86,33 @@ impl Default for ServerConfig {
 /// and the client's normal retry path takes over.
 const MAX_OVERFLOW_RESPONDERS: usize = 8;
 
+/// The open sessions of one server, so shutdown can close them at once.
+#[derive(Default)]
+struct Sessions {
+    /// Set by [`Server::shutdown`]; no session opens or starts a request
+    /// after it.
+    closing: bool,
+    /// Per connection: a clone of its socket, and whether a request on
+    /// it is being handled (such a session is left to send its reply).
+    open: HashMap<u64, (TcpStream, bool)>,
+}
+
+impl Sessions {
+    /// Marks connection `conn` busy (a request is being handled) or
+    /// idle; `false` once the server is closing, when the session ends.
+    fn set_busy(&mut self, conn: u64, busy: bool) -> bool {
+        if let Some(entry) = self.open.get_mut(&conn) {
+            entry.1 = busy;
+        }
+        !self.closing
+    }
+}
+
 /// A running server; dropping it without [`shutdown`](Server::shutdown)
 /// leaks the threads until process exit.
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    sessions: Arc<Mutex<Sessions>>,
     threads: Vec<std::thread::JoinHandle<()>>,
     metrics: Arc<Mutex<NetMetrics>>,
 }
@@ -107,7 +130,7 @@ impl Server {
     ) -> Result<Server, NetError> {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let sessions = Arc::new(Mutex::new(Sessions::default()));
         let metrics = NetMetrics::shared();
         let conn_counter = Arc::new(AtomicU64::new(0));
         let (tx, rx) = sync_channel::<TcpStream>(config.workers * 2);
@@ -119,7 +142,7 @@ impl Server {
             let identity = identity.clone();
             let config = config.clone();
             let handler = Arc::clone(&handler);
-            let shutdown = Arc::clone(&shutdown);
+            let sessions = Arc::clone(&sessions);
             let metrics = Arc::clone(&metrics);
             let conn_counter = Arc::clone(&conn_counter);
             threads.push(std::thread::spawn(move || {
@@ -128,7 +151,7 @@ impl Server {
                     &identity,
                     &config,
                     handler.as_ref(),
-                    &shutdown,
+                    &sessions,
                     &metrics,
                     &conn_counter,
                     seed,
@@ -136,15 +159,17 @@ impl Server {
             }));
         }
         {
-            let shutdown = Arc::clone(&shutdown);
+            let sessions = Arc::clone(&sessions);
             let identity = identity.clone();
             let config = config.clone();
             let metrics = Arc::clone(&metrics);
             let conn_counter = Arc::clone(&conn_counter);
             let responders = Arc::new(AtomicUsize::new(0));
+            // Owns the queue's only sender: when this thread ends, the
+            // workers' blocking receive ends too.
             threads.push(std::thread::spawn(move || {
                 for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
+                    if lock_recover(&sessions).closing {
                         break;
                     }
                     match stream {
@@ -161,8 +186,6 @@ impl Server {
                                 &responders,
                                 seed,
                             ),
-                            // Send fails only after shutdown dropped
-                            // the receiver; stop accepting then.
                             Err(TrySendError::Disconnected(_)) => break,
                         },
                         Err(_) => break,
@@ -172,7 +195,7 @@ impl Server {
         }
         Ok(Server {
             addr,
-            shutdown,
+            sessions,
             threads,
             metrics,
         })
@@ -188,9 +211,18 @@ impl Server {
         Arc::clone(&self.metrics)
     }
 
-    /// Stops accepting, drains the workers, and joins every thread.
+    /// Stops accepting, closes every idle session at once, lets each
+    /// request being handled send its reply, and joins every thread.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        {
+            let mut sessions = lock_recover(&self.sessions);
+            sessions.closing = true;
+            for (stream, busy) in sessions.open.values() {
+                if !busy {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
+        }
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
@@ -249,76 +281,87 @@ fn worker_loop(
     identity: &Identity,
     config: &ServerConfig,
     handler: &dyn Handler,
-    shutdown: &AtomicBool,
+    sessions: &Mutex<Sessions>,
     metrics: &Arc<Mutex<NetMetrics>>,
     conn_counter: &AtomicU64,
     seed: u64,
 ) {
     loop {
-        let stream = {
-            let guard = lock_recover(rx);
-            match guard.recv_timeout(Duration::from_millis(100)) {
-                Ok(s) => Some(s),
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Some(stream) = stream else { continue };
+        // Ends once the accept thread is gone and the queue drained.
+        let next = lock_recover(rx).recv();
+        let Ok(stream) = next else { return };
         let conn = conn_counter.fetch_add(1, Ordering::SeqCst);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5e7e_c0de).with_stream(conn);
-        // A peer that connects and then stalls mid-handshake must not
-        // park this worker: the handshake runs under its own deadline.
-        let _ = stream.set_read_timeout(Some(config.handshake_timeout));
-        let _ = stream.set_write_timeout(Some(config.handshake_timeout));
-        let channel = server_handshake(
-            stream,
-            identity,
-            config.roster.as_ref(),
-            &mut rng,
-            config.max_payload,
-            Arc::clone(metrics),
+        {
+            // A session shutdown cannot reach is never opened.
+            let mut open = lock_recover(sessions);
+            match stream.try_clone() {
+                Ok(clone) if !open.closing => open.open.insert(conn, (clone, false)),
+                _ => continue,
+            };
+        }
+        serve_session(
+            stream, conn, identity, config, handler, sessions, metrics, seed,
         );
-        let Ok(mut channel) = channel else {
-            // A failed handshake (unknown peer, dummy wake-up socket,
-            // port scan, mid-handshake stall) costs this worker nothing
-            // further.
-            continue;
-        };
-        let _ = channel.set_read_timeout(Some(config.idle_timeout));
-        let mut idle_since = Instant::now();
-        loop {
-            match channel.recv() {
-                Ok(request) => {
-                    idle_since = Instant::now();
-                    let reply = match handler.handle(channel.peer(), &request) {
-                        Ok(r) => r,
-                        Err(_) => break,
-                    };
-                    if channel.send(&reply).is_err() {
-                        break;
-                    }
+        lock_recover(sessions).open.remove(&conn);
+    }
+}
+
+/// Runs one connection: the handshake under its deadline, then the
+/// request/response loop until the peer leaves, the session idles past
+/// `idle_reap`, or the server closes.
+#[allow(clippy::too_many_arguments)]
+fn serve_session(
+    stream: TcpStream,
+    conn: u64,
+    identity: &Identity,
+    config: &ServerConfig,
+    handler: &dyn Handler,
+    sessions: &Mutex<Sessions>,
+    metrics: &Arc<Mutex<NetMetrics>>,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5e7e_c0de).with_stream(conn);
+    // A peer that connects and then stalls mid-handshake must not
+    // park this worker: the handshake runs under its own deadline.
+    let _ = stream.set_read_timeout(Some(config.handshake_timeout));
+    let _ = stream.set_write_timeout(Some(config.handshake_timeout));
+    let channel = server_handshake(
+        stream,
+        identity,
+        config.roster.as_ref(),
+        &mut rng,
+        config.max_payload,
+        Arc::clone(metrics),
+    );
+    // A failed handshake (unknown peer, dummy wake-up socket, port scan,
+    // mid-handshake stall, shutdown) costs this worker nothing further.
+    let Ok(mut channel) = channel else { return };
+    let _ = channel.set_read_timeout(Some(config.idle_reap));
+    loop {
+        match channel.recv() {
+            Ok(request) => {
+                if !lock_recover(sessions).set_busy(conn, true) {
+                    return;
                 }
-                Err(NetError::Timeout) => {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // A session that handshook and then went silent is
-                    // half-open; reap it so the worker goes back to the
-                    // queue. (A *mid-frame* stall is a hard Io error
-                    // and already ended the session below.)
-                    if idle_since.elapsed() >= config.idle_reap {
-                        lock_recover(metrics).sessions_reaped += 1;
-                        break;
-                    }
+                let sent = handler
+                    .handle(channel.peer(), &request)
+                    .and_then(|reply| channel.send(&reply));
+                if !lock_recover(sessions).set_busy(conn, false) || sent.is_err() {
+                    return;
                 }
-                // Anything else — peer gone, tampered frame, replay,
-                // mid-frame stall — ends this connection; the client
-                // reconnects if it still cares.
-                Err(_) => break,
             }
+            // A session that handshook and then went silent for
+            // `idle_reap` is half-open; reap it so the worker goes back
+            // to the queue. (A *mid-frame* stall is a hard Io error and
+            // ends the session below.)
+            Err(NetError::Timeout) => {
+                lock_recover(metrics).sessions_reaped += 1;
+                return;
+            }
+            // Anything else — peer gone, tampered frame, replay,
+            // mid-frame stall, shutdown — ends this connection; the
+            // client reconnects if it still cares.
+            Err(_) => return,
         }
     }
 }
@@ -326,7 +369,80 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::client_handshake;
+    use crate::channel::{client_handshake, SecureChannel};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
+
+    fn connect(addr: SocketAddr, server_pub: [u8; 32], role: u32) -> SecureChannel {
+        let stream = TcpStream::connect(addr).unwrap();
+        client_handshake(
+            stream,
+            &Identity::derive(5, role),
+            Some(server_pub),
+            &mut StdRng::seed_from_u64(role as u64),
+            1 << 20,
+            NetMetrics::shared(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn shutdown_closes_idle_sessions_at_once_and_answers_in_flight_requests() {
+        // A request for "slow" parks in the handler until the gate opens.
+        let entered = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(AtomicBool::new(false));
+        let handler = {
+            let (entered, gate) = (Arc::clone(&entered), Arc::clone(&gate));
+            Arc::new(
+                move |_peer: [u8; 32], req: &[u8]| -> Result<Vec<u8>, NetError> {
+                    if req == b"slow" {
+                        entered.store(true, Ordering::SeqCst);
+                        while !gate.load(Ordering::SeqCst) {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                    }
+                    Ok(req.to_vec())
+                },
+            )
+        };
+        let spawn = || {
+            let identity = Identity::derive(5, 0);
+            let handler: Arc<dyn Handler> = handler.clone();
+            Server::spawn("127.0.0.1:0", identity, ServerConfig::default(), handler, 5).unwrap()
+        };
+        let server_pub = Identity::derive(5, 0).public;
+
+        // An authenticated session that went idle does not hold
+        // shutdown up.
+        let server = spawn();
+        let mut idle = connect(server.local_addr(), server_pub, 100);
+        idle.send(b"ping").unwrap();
+        assert_eq!(idle.recv().unwrap(), b"ping");
+        let t = Instant::now();
+        server.shutdown();
+        let took = t.elapsed();
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+        assert!(idle.recv().is_err(), "the idle session was closed");
+
+        // A request being handled when shutdown starts still gets its
+        // reply; the idle session beside it is closed.
+        let server = spawn();
+        let mut idle = connect(server.local_addr(), server_pub, 101);
+        idle.send(b"ping").unwrap();
+        assert_eq!(idle.recv().unwrap(), b"ping");
+        let mut busy = connect(server.local_addr(), server_pub, 102);
+        busy.send(b"slow").unwrap();
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let closer = std::thread::spawn(move || server.shutdown());
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert!(idle.recv().is_err(), "the idle session was closed");
+        gate.store(true, Ordering::SeqCst);
+        busy.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(busy.recv().unwrap(), b"slow");
+        closer.join().unwrap();
+    }
 
     #[test]
     fn echo_round_trip_and_shutdown() {
@@ -363,8 +479,6 @@ mod tests {
 
     #[test]
     fn saturated_server_rejects_with_busy_and_keeps_accepting() {
-        use std::sync::atomic::AtomicBool;
-
         let identity = Identity::derive(11, 0);
         let server_pub = identity.public;
         // The single worker parks inside the handler until the gate
