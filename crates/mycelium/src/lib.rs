@@ -28,6 +28,10 @@
 //!   shared by the direct and simulated execution paths.
 //! * [`exec`] — the encrypted query executor (device, origin, and
 //!   aggregator logic) with Byzantine-behaviour injection.
+//! * [`aggcore`] — the aggregation plane's round logic (intake, summation,
+//!   committee, certificate) as one sans-IO state machine, driven by the
+//!   simnet actors here and by the multi-process executor in
+//!   `mycelium-net`.
 //! * [`simround`] — the same round re-hosted as message-passing actors on
 //!   the deterministic simnet, with fault injection and round metrics.
 //! * [`session`] — the multi-query session: a privacy-budget ledger
@@ -50,6 +54,7 @@
 //!   the same round spec yields bit-identical ciphertexts (and
 //!   byte-identical round certificates) everywhere.
 
+pub mod aggcore;
 pub mod committee;
 pub mod costs;
 pub mod decode;

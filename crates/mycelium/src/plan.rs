@@ -14,6 +14,8 @@
 //!   combine them (multiply, or select-add-subtract for sequence
 //!   queries). Computing it involves no cryptography, so device actors
 //!   can be scheduled from it.
+//! * [`duties`] — the works inverted into each device's [`Duty`] list:
+//!   which origin slots it must fill, with which exponent.
 //! * [`SignedContribution`] — a device's wire message: ciphertext plus
 //!   optional well-formedness proof, verified by the aggregator.
 
@@ -256,6 +258,34 @@ pub struct OriginWork {
     /// Monomial shift applied to the single accumulator for `SelfSide`
     /// grouping (zero otherwise).
     pub self_shift: usize,
+}
+
+/// One outgoing contribution duty of a device vertex.
+#[derive(Debug, Clone)]
+pub struct Duty {
+    /// The origin the contribution is addressed to.
+    pub origin: VertexId,
+    /// Slot in that origin's request list.
+    pub slot: u32,
+    /// The monomial exponent to encrypt.
+    pub exp: usize,
+}
+
+/// Inverts the origins' work into per-device contribution duties:
+/// `duties(works)[v]` lists, in origin-then-slot order, every slot device
+/// `v` must fill.
+pub fn duties(works: &[OriginWork]) -> Vec<Vec<Duty>> {
+    let mut duties: Vec<Vec<Duty>> = vec![Vec::new(); works.len()];
+    for work in works {
+        for (slot, &(w, exp)) in work.requests.iter().enumerate() {
+            duties[w as usize].push(Duty {
+                origin: work.origin,
+                slot: slot as u32,
+                exp,
+            });
+        }
+    }
+    duties
 }
 
 /// One neighbor's contribution exponents: `(sequence position, exponent)`
@@ -559,11 +589,12 @@ pub fn aggregate_and_audit(origin_cts: Vec<Ciphertext>) -> Result<Ciphertext, Ex
     Ok(tree.root().sum.clone())
 }
 
-/// Shard side of the sharded aggregation plane: aligns the shard's owned
-/// origin ciphertexts to [`AGGREGATION_LEVEL`] (the same canonical level
-/// the hub uses, so the partition never shows in the bytes), builds its
-/// partial summation tree, audits it, and seals the root for shipment to
-/// the coordinator.
+/// The grafting form of a shard's fold: aligns the shard's owned origin
+/// ciphertexts to [`AGGREGATION_LEVEL`] (the same canonical level the hub
+/// uses, so the partition never shows in the bytes), builds its partial
+/// summation tree, audits it, and seals the root with its commitment.
+/// The round executors fold shards with [`aggregate_and_audit`] at both
+/// levels instead ([`crate::aggcore`]); the sum is bit-identical.
 pub fn seal_shard_root(
     origin_cts: Vec<Ciphertext>,
 ) -> Result<crate::summation::PartialRoot, ExecError> {
@@ -578,8 +609,8 @@ pub fn seal_shard_root(
     Ok(tree.seal_root())
 }
 
-/// Coordinator side of the sharded aggregation plane: grafts the sealed
-/// shard roots (all already at [`AGGREGATION_LEVEL`]) into the top
+/// The grafting form of the coordinator's fold: grafts the sealed shard
+/// roots (all already at [`AGGREGATION_LEVEL`]) into the top
 /// summation tree ([`SummationTree::combine_partials`](crate::summation::SummationTree::combine_partials)),
 /// audits it, and returns the global root sum. Homomorphic addition is
 /// exact coefficient-wise addition mod q and every leaf was switched to

@@ -13,13 +13,19 @@
 //!   and submit. A contribution that never arrives by the origin's
 //!   deadline defaults to the neutral `Enc(x^0)` (§4.4), so device
 //!   drop-outs degrade the answer instead of wedging the round.
-//! * **The aggregator actor** (id `n`) verifies each contribution's
-//!   proof — substituting `Enc(x^0)` for offenders (§4.7), which is how
+//! * **The aggregation actors** adapt [`AggCore`](crate::aggcore::AggCore),
+//!   the aggregation plane's one state machine, which the multi-process
+//!   executor drives too. The hub (id `n`) runs it in hub mode; with
+//!   `agg_shards > 1`, id `n` is the coordinator and the intake shard
+//!   actors follow the committee. The core verifies each contribution's
+//!   proof and substitutes `Enc(x^0)` for offenders (§4.7), which is how
 //!   Byzantine payload substitution injected through the simnet
-//!   [`FaultPlan`] is caught — forwards verified ciphertexts to origins,
-//!   sums submissions through the verifiable summation tree, and drives
-//!   the committee: ping → pick `t+1` live members → collect decryption
-//!   shares, reselecting once if a chosen member crashes mid-phase.
+//!   [`FaultPlan`] is caught. It sums submissions through the verifiable
+//!   summation tree and drives the committee: pick `t+1` checked-in
+//!   members, collect decryption shares, reselect once if a chosen
+//!   member crashes mid-phase. The actor pushes verified ciphertexts to
+//!   origins and pings and tasks to members through its retrier, and
+//!   turns its timers into the core's deadlines.
 //! * **Committee actors** (ids `n+1..=n+c`) answer pings with their
 //!   liveness (and joint-noise seed) and compute decryption shares
 //!   against the participant set the aggregator announces — Lagrange
@@ -33,14 +39,10 @@
 //! any `MYC_THREADS` setting.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
-use mycelium_cert::{
-    build_segments, commit_origin, noise_commitment, sign_transcript, verify_transcript_sig,
-    CertSpec, CommitteeSig, OriginCommit, ReleasedGroup, RoundCertificate, SlotStatus,
-};
+use mycelium_bgv::{Ciphertext, KeySet};
+use mycelium_cert::{sign_transcript, OriginCommit};
 use mycelium_dp::PrivacyBudget;
 use mycelium_graph::generate::Population;
 use mycelium_graph::graph::VertexId;
@@ -49,23 +51,23 @@ use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_query::ast::Query;
 use mycelium_query::eval::PlainResult;
 use mycelium_sharing::committee::elect;
-use mycelium_sharing::threshold::{
-    combine, decryption_share, derive_joint_noise, DecryptionShare, KeyShareSet,
-};
+use mycelium_sharing::threshold::{decryption_share, DecryptionShare, KeyShareSet};
 use mycelium_simnet::{
     ActorId, Ctx, FaultPlan, LinkModel, Payload, Process, Retrier, RoundMetrics, Simulation, Tick,
 };
 
+use crate::aggcore::{
+    AggConfig, AggCore, AggEnv, AggFailure, AggMode, Deadlines, Delivery, MemberTask, RoundOutcome,
+    Transition,
+};
 use crate::committee::CommitteeError;
-use crate::decode::decode_aggregate;
-use crate::exec::{release_noisy, ExecError, ExecStats, MaliciousBehavior, NoisyGroup};
+use crate::exec::{ExecError, ExecStats, MaliciousBehavior, NoisyGroup};
 use crate::params::SystemParams;
 use crate::plan::{
-    aggregate_and_audit, ciphertext_digest, combine_origin, combine_shard_roots, origin_work,
-    seal_shard_root, OriginWork, QueryPlan, SignedContribution,
+    combine_origin, duties, origin_work, Duty, OriginWork, QueryPlan, SignedContribution,
 };
 use crate::streams;
-use crate::summation::{shard_of, PartialRoot};
+use crate::summation::shard_of;
 
 /// Timer-key layout (per actor, so ranges only need to be disjoint within
 /// one actor): retrier message ids live below `1 << 40`; control keys
@@ -160,6 +162,22 @@ impl std::error::Error for SimRoundError {}
 impl From<ExecError> for SimRoundError {
     fn from(e: ExecError) -> Self {
         SimRoundError::Exec(e)
+    }
+}
+
+impl From<AggFailure> for SimRoundError {
+    fn from(f: AggFailure) -> Self {
+        match f {
+            AggFailure::Substitute(e) => SimRoundError::Exec(e.into()),
+            AggFailure::Aggregation(e) => SimRoundError::Exec(e),
+            AggFailure::CommitteeUnavailable { alive, need } => {
+                SimRoundError::CommitteeUnavailable { alive, need }
+            }
+            AggFailure::Combine(e) => {
+                SimRoundError::Exec(ExecError::Committee(CommitteeError::Threshold(e)))
+            }
+            AggFailure::Aborted(why) => unreachable!("no simnet adapter aborts a round: {why}"),
+        }
     }
 }
 
@@ -279,11 +297,11 @@ pub enum RoundMsg {
         shard: u32,
         /// Devices whose contributions failed proof verification.
         rejected: Vec<VertexId>,
-        /// The shard tree's root commitment (grafted into the
-        /// coordinator's top tree, so the published global root
-        /// transitively commits every origin ciphertext).
+        /// The sealed root's `ciphertext_digest` (metered on the wire;
+        /// the coordinator sums the roots themselves).
         commitment: [u8; 32],
-        /// How many origins the shard summed.
+        /// How many rows the shard summed: its owned origins, or the one
+        /// `Enc(0)` of a shard that owns none.
         leaves: u32,
         /// Frozen per-origin certificate commitments for the shard's
         /// owned origins (leaf plus accepted/rejected slot counts).
@@ -372,12 +390,28 @@ impl Payload for RoundMsg {
     }
 }
 
-/// One outgoing contribution duty of a device.
-#[derive(Debug, Clone)]
-struct Duty {
-    origin: VertexId,
-    slot: u32,
-    exp: usize,
+/// The round's shared planning data: what every actor reads and the
+/// aggregation core's [`AggEnv`].
+struct SimEnv {
+    plan: QueryPlan,
+    keys: KeySet,
+    query: Query,
+    works: Vec<OriginWork>,
+}
+
+impl AggEnv for SimEnv {
+    fn plan(&self) -> &QueryPlan {
+        &self.plan
+    }
+    fn keys(&self) -> &KeySet {
+        &self.keys
+    }
+    fn query(&self) -> &Query {
+        &self.query
+    }
+    fn works(&self) -> &[OriginWork] {
+        &self.works
+    }
 }
 
 struct DeviceActor {
@@ -389,10 +423,8 @@ struct DeviceActor {
     agg: ActorId,
     agg_shards: usize,
     shard_base: ActorId,
-    plan: Rc<QueryPlan>,
-    keys: Rc<KeySet>,
+    env: Rc<SimEnv>,
     duties: Vec<Duty>,
-    work: OriginWork,
     cheating: bool,
     dropped_out: bool,
     deadline: Tick,
@@ -423,23 +455,23 @@ impl DeviceActor {
         // same rng — exactly the net executor's consumption pattern.
         let mut rng =
             StdRng::seed_from_u64(self.spec_seed).with_stream(streams::ORIGIN + self.vertex as u64);
+        let env = &*self.env;
         // Missing contributions default to the neutral Enc(x^0) (§4.4).
         let cts: Vec<Ciphertext> = self
             .received
             .iter()
             .map(|slot| match slot {
                 Some(ct) => ct.clone(),
-                None => self
+                None => env
                     .plan
-                    .neutral_ct(&self.keys, &mut rng)
+                    .neutral_ct(&env.keys, &mut rng)
                     .expect("neutral encryption"),
             })
             .collect();
         let mut stats = ExecStats::default();
-        let out = combine_origin(
-            &self.plan, &self.keys, &self.work, &cts, &mut stats, &mut rng,
-        )
-        .expect("origin combine");
+        let work = &env.works[self.vertex as usize];
+        let out = combine_origin(&env.plan, &env.keys, work, &cts, &mut stats, &mut rng)
+            .expect("origin combine");
         ctx.phase_done("contrib");
         let msg = RoundMsg::Submission {
             msg_id: SUBMIT_MSG_ID,
@@ -463,8 +495,15 @@ impl Process<RoundMsg> for DeviceActor {
             for i in 0..self.duties.len() {
                 let duty = self.duties[i].clone();
                 let sc = self
+                    .env
                     .plan
-                    .build_contribution(&self.keys, self.vertex, duty.exp, self.cheating, &mut rng)
+                    .build_contribution(
+                        &self.env.keys,
+                        self.vertex,
+                        duty.exp,
+                        self.cheating,
+                        &mut rng,
+                    )
                     .expect("contribution encryption");
                 let msg = RoundMsg::Contrib {
                     msg_id: i as u64,
@@ -476,7 +515,7 @@ impl Process<RoundMsg> for DeviceActor {
                 self.retrier.send(ctx, i as u64, dst, msg);
             }
         }
-        if self.work.requests.is_empty() {
+        if self.received.is_empty() {
             self.combine_and_submit(ctx);
         }
     }
@@ -512,323 +551,160 @@ impl Process<RoundMsg> for DeviceActor {
     }
 }
 
-/// Shared slot the aggregator writes the round result into.
+/// Where the aggregation actors write what the round produced.
 #[derive(Default)]
-struct AggOutcome {
-    plaintext: Option<Plaintext>,
-    noise: Vec<i64>,
-    rejected: Vec<VertexId>,
+struct SimReport {
+    outcome: Option<Result<RoundOutcome, AggFailure>>,
     certificate: Option<Vec<u8>>,
-    error: Option<SimRoundError>,
 }
 
-struct AggregatorActor {
-    plan: Rc<QueryPlan>,
-    keys: Rc<KeySet>,
-    query: Rc<Query>,
-    spec_seed: u64,
-    with_proofs: bool,
+/// The simnet adapter over [`AggCore`], in any of its modes: the hub, the
+/// coordinator, or an intake shard. It pushes each verified (or
+/// substituted) contribution to its origin, sends pings, share requests
+/// and signature requests to the committee through its retrier, turns
+/// its timers into [`Deadlines`], and performs what each transition
+/// starts.
+struct AggActor {
+    core: AggCore,
+    env: Rc<SimEnv>,
+    /// The coordinator's actor id, for an intake shard.
+    coord: Option<ActorId>,
     n_devices: usize,
     committee_size: usize,
-    threshold: usize,
-    noise_scale: f64,
-    charged_epsilon: f64,
     deadline: Tick,
-    // Contribution forwarding.
-    seen_contribs: BTreeSet<(VertexId, u32)>,
+    /// Deadlines whose timers fired.
+    late: Deadlines,
     next_fwd_id: u64,
     retrier: Retrier<RoundMsg>,
-    // Submissions (hub topology).
-    submissions: Vec<Option<Ciphertext>>,
-    got_submissions: usize,
-    // Sealed shard roots (sharded topology; empty at `agg_shards <= 1`).
-    agg_shards: usize,
-    shard_roots: Vec<Option<PartialRoot>>,
-    got_roots: usize,
-    aggregated: bool,
-    aggregate: Option<Ciphertext>,
-    // Committee phase.
-    pongs: Vec<Option<[u8; 32]>>,
-    share_phase: bool,
-    round: u32,
-    reselected: bool,
-    participants: Vec<u64>,
-    shares: Vec<Option<DecryptionShare>>,
-    finished: bool,
-    // Certificate plane: per-slot intake outcomes (hub topology), frozen
-    // per-origin commitments (all topologies), and the signing phase.
-    slot_map: Rc<Vec<Vec<VertexId>>>,
-    statuses: BTreeMap<(VertexId, u32), SlotStatus>,
-    commits: Vec<Option<OriginCommit>>,
-    cert_rejected: Vec<VertexId>,
-    cert: Option<RoundCertificate>,
-    cert_sigs: Vec<Option<[u8; 64]>>,
-    outcome: Rc<RefCell<AggOutcome>>,
+    /// Whether the decided outcome reached `report`.
+    reported: bool,
+    report: Rc<RefCell<SimReport>>,
 }
 
-impl AggregatorActor {
+impl AggActor {
     fn member_actor(&self, member: u64) -> ActorId {
         self.n_devices + member as usize
     }
 
-    fn fail(&mut self, ctx: &mut Ctx<RoundMsg>, err: SimRoundError) {
-        self.finished = true;
-        self.outcome.borrow_mut().error = Some(err);
-        ctx.halt();
-    }
-
-    /// Freezes the hub's per-origin certificate commitments from the slot
-    /// statuses recorded at intake. Runs *before* the aggregate is sealed
-    /// — the commitment-then-seal ordering the WAL journals in the net
-    /// executor — so late contributions can no longer move the tree.
-    fn freeze_commits(&mut self) {
-        for v in 0..self.n_devices {
-            let slots: Vec<(u32, SlotStatus)> = self.slot_map[v]
-                .iter()
-                .enumerate()
-                .map(|(s, &d)| {
-                    let status = self
-                        .statuses
-                        .get(&(v as VertexId, s as u32))
-                        .copied()
-                        .unwrap_or(SlotStatus::Missing);
-                    if matches!(status, SlotStatus::Rejected) && !self.cert_rejected.contains(&d) {
-                        self.cert_rejected.push(d);
-                    }
-                    (d, status)
-                })
-                .collect();
-            self.commits[v] = Some(commit_origin(v as u32, &slots));
-        }
-    }
-
-    fn start_aggregate(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        if self.aggregated {
-            return;
-        }
-        self.aggregated = true;
-        if self.agg_shards <= 1 {
-            self.freeze_commits();
-        }
-        let aggregate = if self.agg_shards > 1 {
-            // Coordinator: every shard root is present (the coordinator
-            // never deadlines out of intake — it waits, bounded by the
-            // round's virtual-time budget). Graft them into the top tree.
-            let parts: Vec<PartialRoot> = self
-                .shard_roots
-                .iter()
-                .map(|r| r.clone().expect("all shard roots collected"))
-                .collect();
-            match combine_shard_roots(parts) {
-                Ok(ct) => ct,
-                Err(e) => return self.fail(ctx, e.into()),
-            }
-        } else {
-            // Origins that never submitted (crashed devices) contribute
-            // the additive-neutral Enc(0).
-            let (n_ring, t_pt) = (self.plan.n_ring, self.plan.t_pt);
-            let cts: Result<Vec<Ciphertext>, ExecError> = self
-                .submissions
-                .iter()
-                .map(|s| match s {
-                    Some(ct) => Ok(ct.clone()),
-                    None => Ok(Ciphertext::encrypt(
-                        &self.keys.public,
-                        &Plaintext::zero(n_ring, t_pt),
-                        ctx.rng(),
-                    )?),
-                })
-                .collect();
-            match cts.and_then(aggregate_and_audit) {
-                Ok(ct) => ct,
-                Err(e) => return self.fail(ctx, e.into()),
-            }
-        };
-        self.aggregate = Some(aggregate);
-        ctx.phase_done("aggregate");
-        // Committee phase: probe liveness first — the participant set
-        // must be agreed before shares are computed.
+    /// Sends every member the task the core has for it: a share request
+    /// to each participant after a selection, a signature request to
+    /// every member once the outcome is decided.
+    fn send_tasks(&mut self, ctx: &mut Ctx<RoundMsg>) {
         for m in 1..=self.committee_size as u64 {
             let dst = self.member_actor(m);
-            self.retrier.send(
-                ctx,
-                PING_BASE + m,
-                dst,
-                RoundMsg::Ping {
-                    msg_id: PING_BASE + m,
-                },
-            );
+            let (msg_id, msg) = match self.core.member_task(m) {
+                None => continue,
+                Some(MemberTask::Share {
+                    round,
+                    participants,
+                    aggregate,
+                }) => {
+                    let msg_id = SHARE_BASE + ((round as u64) << 20) + m;
+                    let msg = RoundMsg::ShareRequest {
+                        msg_id,
+                        round,
+                        participants: participants.to_vec(),
+                        ct: aggregate.clone(),
+                    };
+                    (msg_id, msg)
+                }
+                Some(MemberTask::Sign(transcript)) => {
+                    let msg_id = CERT_BASE + m;
+                    let msg = RoundMsg::CertSignReq {
+                        msg_id,
+                        transcript: *transcript,
+                    };
+                    (msg_id, msg)
+                }
+            };
+            self.retrier.send(ctx, msg_id, dst, msg);
+        }
+    }
+
+    /// Applies every due transition and starts what each one opens, then
+    /// reports a newly decided outcome.
+    fn advance(&mut self, ctx: &mut Ctx<RoundMsg>) {
+        while let Some(t) = self.core.due(self.late) {
+            self.core.apply(&*self.env, t);
+            match t {
+                Transition::Aggregate if self.core.outcome().is_none() => self.aggregated(ctx),
+                Transition::Select | Transition::Reselect if self.core.outcome().is_none() => {
+                    self.late.shares = false;
+                    self.send_tasks(ctx);
+                    let round = self.core.share_round() as u64;
+                    ctx.set_timer(self.deadline, SHARE_DEADLINE_BASE + round);
+                }
+                Transition::Seal => {
+                    self.report.borrow_mut().certificate =
+                        self.core.certificate().map(<[u8]>::to_vec);
+                    ctx.phase_done("certify");
+                    ctx.halt();
+                }
+                _ => {}
+            }
+        }
+        if self.reported {
+            return;
+        }
+        let Some(outcome) = self.core.outcome() else {
+            return;
+        };
+        self.reported = true;
+        self.report.borrow_mut().outcome = Some(outcome.clone());
+        if outcome.is_err() {
+            return ctx.halt();
+        }
+        ctx.phase_done("committee");
+        // The round result is decided; what remains is collecting
+        // committee signatures over the certificate transcript.
+        self.send_tasks(ctx);
+        if self.core.round_done() {
+            // No certificate to collect (incomplete commitment plane).
+            return ctx.halt();
+        }
+        ctx.set_timer(self.deadline, CERT_DEADLINE_KEY);
+    }
+
+    /// The aggregate exists: a shard ships its sealed root to the
+    /// coordinator; the hub and the coordinator probe the committee's
+    /// liveness, since the participant set must be agreed before shares
+    /// are computed.
+    fn aggregated(&mut self, ctx: &mut Ctx<RoundMsg>) {
+        if let Some(coord) = self.coord {
+            ctx.phase_done("seal");
+            let sealed = self
+                .core
+                .sealed_shard()
+                .expect("a shard's aggregate is its root");
+            let msg = RoundMsg::ShardRootMsg {
+                msg_id: SUBMIT_MSG_ID,
+                shard: sealed.shard,
+                rejected: sealed.rejected,
+                commitment: *sealed.root.digest(),
+                leaves: sealed.commits.len().max(1) as u32,
+                commits: sealed.commits,
+                ct: sealed.root.ct().clone(),
+            };
+            return self.retrier.send(ctx, SUBMIT_MSG_ID, coord, msg);
+        }
+        ctx.phase_done("aggregate");
+        for m in 1..=self.committee_size as u64 {
+            let msg_id = PING_BASE + m;
+            let dst = self.member_actor(m);
+            self.retrier
+                .send(ctx, msg_id, dst, RoundMsg::Ping { msg_id });
         }
         ctx.set_timer(self.deadline, PING_DEADLINE_KEY);
     }
-
-    fn alive_members(&self) -> Vec<u64> {
-        (1..=self.committee_size as u64)
-            .filter(|&m| self.pongs[m as usize - 1].is_some())
-            .collect()
-    }
-
-    fn select_participants(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        self.share_phase = true;
-        let alive = self.alive_members();
-        let need = self.threshold + 1;
-        if alive.len() < need {
-            return self.fail(
-                ctx,
-                SimRoundError::CommitteeUnavailable {
-                    alive: alive.len(),
-                    need,
-                },
-            );
-        }
-        self.round += 1;
-        self.participants = alive[..need].to_vec();
-        self.shares = vec![None; self.committee_size + 1];
-        let aggregate = self.aggregate.clone().expect("aggregated");
-        for &m in &self.participants.clone() {
-            let msg_id = SHARE_BASE + ((self.round as u64) << 20) + m;
-            let dst = self.member_actor(m);
-            self.retrier.send(
-                ctx,
-                msg_id,
-                dst,
-                RoundMsg::ShareRequest {
-                    msg_id,
-                    round: self.round,
-                    participants: self.participants.clone(),
-                    ct: aggregate.clone(),
-                },
-            );
-        }
-        ctx.set_timer(self.deadline, SHARE_DEADLINE_BASE + self.round as u64);
-    }
-
-    fn finish_committee(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let aggregate = self.aggregate.as_ref().expect("aggregated");
-        let shares: Vec<DecryptionShare> = self
-            .participants
-            .iter()
-            .map(|&m| self.shares[m as usize].clone().expect("share collected"))
-            .collect();
-        let plaintext = match combine(aggregate, &shares, self.threshold) {
-            Ok(pt) => pt,
-            Err(e) => {
-                return self.fail(
-                    ctx,
-                    ExecError::Committee(CommitteeError::Threshold(e)).into(),
-                )
-            }
-        };
-        // Joint noise from the seeds of every member that proved alive,
-        // in member order (commit-then-combine elided, as in the direct
-        // path).
-        let seeds: Vec<[u8; 32]> = self.pongs.iter().filter_map(|p| *p).collect();
-        let noise = derive_joint_noise(&seeds, self.noise_scale, self.plan.released_values());
-        let exact = decode_aggregate(&plaintext, &self.query, &self.plan.analysis);
-        let released = release_noisy(&exact, &noise, self.plan.released_len);
-        {
-            let mut out = self.outcome.borrow_mut();
-            out.plaintext = Some(plaintext);
-            out.noise = noise;
-        }
-        ctx.phase_done("committee");
-        // The round result is durable; what remains is collecting
-        // committee signatures over the certificate transcript, so the
-        // halt is deferred to `seal_cert`.
-        self.start_cert(ctx, &released, &seeds);
-    }
-
-    /// Assembles the round certificate and asks every committee member to
-    /// sign its transcript.
-    fn start_cert(&mut self, ctx: &mut Ctx<RoundMsg>, released: &[NoisyGroup], seeds: &[[u8; 32]]) {
-        let commits: Vec<OriginCommit> = self
-            .commits
-            .iter()
-            .map(|c| {
-                c.clone()
-                    .expect("every origin commitment frozen before sealing")
-            })
-            .collect();
-        let leaves: Vec<[u8; 32]> = commits.iter().map(|c| c.leaf).collect();
-        let counts: Vec<(u32, u32)> = commits.iter().map(|c| (c.accepted, c.rejected)).collect();
-        let (segments, contrib_root) = build_segments(&leaves, &counts);
-        let mut rejected: Vec<u32> = self.cert_rejected.to_vec();
-        rejected.sort_unstable();
-        rejected.dedup();
-        let spec = CertSpec {
-            seed: self.spec_seed,
-            devices: self.n_devices as u32,
-            query: self.query.name.clone(),
-            with_proofs: self.with_proofs,
-        };
-        let mut cert = RoundCertificate {
-            spec_digest: spec.digest(),
-            spec,
-            committee: self.committee_size as u32,
-            threshold: self.threshold as u32,
-            share_round: self.round,
-            participants: self.participants.iter().map(|&m| m as u32).collect(),
-            leaves,
-            segments,
-            contrib_root,
-            rejected,
-            aggregate_digest: ciphertext_digest(self.aggregate.as_ref().expect("aggregated")),
-            noise_commitment: noise_commitment(seeds),
-            charged_epsilon_bits: self.charged_epsilon.to_bits(),
-            released: released
-                .iter()
-                .map(|g| ReleasedGroup {
-                    label: g.label.clone(),
-                    histogram: g.histogram.clone(),
-                })
-                .collect(),
-            transcript: [0u8; 32],
-            signatures: Vec::new(),
-        };
-        cert.transcript = cert.compute_transcript();
-        for m in 1..=self.committee_size as u64 {
-            let dst = self.member_actor(m);
-            self.retrier.send(
-                ctx,
-                CERT_BASE + m,
-                dst,
-                RoundMsg::CertSignReq {
-                    msg_id: CERT_BASE + m,
-                    transcript: cert.transcript,
-                },
-            );
-        }
-        ctx.set_timer(self.deadline, CERT_DEADLINE_KEY);
-        self.cert = Some(cert);
-    }
-
-    /// Attaches whatever valid signatures arrived and halts the round.
-    /// Fewer than `t + 1` signatures means no certificate — the round
-    /// result stands, but it is not independently checkable.
-    fn seal_cert(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        let Some(mut cert) = self.cert.take() else {
-            return;
-        };
-        cert.signatures = (1..=self.committee_size as u64)
-            .filter_map(|m| self.cert_sigs[m as usize].map(|sig| CommitteeSig { member: m, sig }))
-            .collect();
-        if cert.signatures.len() > self.threshold {
-            self.outcome.borrow_mut().certificate = Some(cert.encode());
-        }
-        ctx.phase_done("certify");
-        ctx.halt();
-    }
 }
 
-impl Process<RoundMsg> for AggregatorActor {
+impl Process<RoundMsg> for AggActor {
     fn on_start(&mut self, ctx: &mut Ctx<RoundMsg>) {
         // Origins substitute at `deadline`, then combine and submit; give
         // the submissions one more deadline on top.
         ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
+        // A shard that owns no origin seals at once.
+        self.advance(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<RoundMsg>, from: ActorId, msg: RoundMsg) {
@@ -840,101 +716,40 @@ impl Process<RoundMsg> for AggregatorActor {
                 sc,
             } => {
                 ctx.send(from, RoundMsg::ContribAck { msg_id });
-                if !self.seen_contribs.insert((origin, slot)) {
-                    return;
+                if self.core.contribute(&*self.env, origin, slot, sc) == Ok(Delivery::New) {
+                    // Push the verified (or substituted) ciphertext to
+                    // its origin.
+                    let slots = self.core.origin_slots(origin).expect("just filled");
+                    let ct = slots[slot as usize]
+                        .as_ref()
+                        .expect("just filled")
+                        .ct()
+                        .clone();
+                    let msg_id = self.next_fwd_id;
+                    self.next_fwd_id += 1;
+                    let msg = RoundMsg::OriginDeliver { msg_id, slot, ct };
+                    self.retrier.send(ctx, msg_id, origin as ActorId, msg);
                 }
-                // §4.6–§4.7: verify the well-formedness proof; discard
-                // offenders, substituting the neutral Enc(x^0). The slot
-                // outcome is recorded for the certificate commitment —
-                // accepted slots with the digest of the ciphertext *as
-                // verified*, before any substitution.
-                let digest = ciphertext_digest(&sc.ct);
-                let ct = if self.plan.verify_proof(sc.proof.as_ref(), &digest) {
-                    self.statuses
-                        .insert((origin, slot), SlotStatus::Accepted(digest));
-                    sc.ct
-                } else {
-                    self.statuses.insert((origin, slot), SlotStatus::Rejected);
-                    let mut out = self.outcome.borrow_mut();
-                    if !out.rejected.contains(&sc.device) {
-                        out.rejected.push(sc.device);
-                    }
-                    drop(out);
-                    self.plan
-                        .neutral_ct(&self.keys, ctx.rng())
-                        .expect("neutral encryption")
-                };
-                let fwd_id = self.next_fwd_id;
-                self.next_fwd_id += 1;
-                self.retrier.send(
-                    ctx,
-                    fwd_id,
-                    origin as ActorId,
-                    RoundMsg::OriginDeliver {
-                        msg_id: fwd_id,
-                        slot,
-                        ct,
-                    },
-                );
             }
-            RoundMsg::OriginAck { msg_id } => {
+            RoundMsg::OriginAck { msg_id } | RoundMsg::ShardRootAck { msg_id } => {
                 self.retrier.ack(msg_id);
             }
             RoundMsg::Submission { msg_id, origin, ct } => {
                 ctx.send(from, RoundMsg::SubmissionAck { msg_id });
-                let slot = origin as usize;
-                // A coordinator holds no per-origin slots (devices route
-                // submissions to their owning shard), so a stray
-                // submission is acked and dropped.
-                if slot < self.submissions.len() && self.submissions[slot].is_none() {
-                    self.submissions[slot] = Some(ct);
-                    self.got_submissions += 1;
+                if self.core.submit(origin, ct) == Ok(Delivery::New) {
                     ctx.phase_done("submit");
-                    if self.got_submissions == self.n_devices {
-                        self.start_aggregate(ctx);
-                    }
                 }
             }
             RoundMsg::ShardRootMsg {
                 msg_id,
                 shard,
                 rejected,
-                commitment,
-                leaves,
                 commits,
                 ct,
+                ..
             } => {
                 ctx.send(from, RoundMsg::ShardRootAck { msg_id });
-                let s = shard as usize;
-                if s >= self.shard_roots.len() || self.shard_roots[s].is_some() {
-                    return;
-                }
-                {
-                    let mut out = self.outcome.borrow_mut();
-                    for w in rejected {
-                        if !out.rejected.contains(&w) {
-                            out.rejected.push(w);
-                        }
-                        if !self.cert_rejected.contains(&w) {
-                            self.cert_rejected.push(w);
-                        }
-                    }
-                }
-                for cmt in commits {
-                    let o = cmt.origin as usize;
-                    if o < self.commits.len() && self.commits[o].is_none() {
-                        self.commits[o] = Some(cmt);
-                    }
-                }
-                self.shard_roots[s] = Some(PartialRoot {
-                    sum: ct,
-                    commitment,
-                    leaf_count: leaves as usize,
-                });
-                self.got_roots += 1;
-                if self.got_roots == self.agg_shards {
-                    self.start_aggregate(ctx);
-                }
+                let _ = self.core.shard_root(shard, rejected, commits, ct);
             }
             RoundMsg::Pong {
                 msg_id,
@@ -942,16 +757,7 @@ impl Process<RoundMsg> for AggregatorActor {
                 seed,
             } => {
                 self.retrier.ack(msg_id);
-                if self.share_phase {
-                    return;
-                }
-                let idx = member as usize - 1;
-                if self.pongs[idx].is_none() {
-                    self.pongs[idx] = Some(seed);
-                    if self.alive_members().len() == self.committee_size {
-                        self.select_participants(ctx);
-                    }
-                }
+                let _ = self.core.check_in(member, seed);
             }
             RoundMsg::Share {
                 msg_id,
@@ -960,20 +766,7 @@ impl Process<RoundMsg> for AggregatorActor {
                 share,
             } => {
                 self.retrier.ack(msg_id);
-                if self.finished || round != self.round || !self.participants.contains(&member) {
-                    return;
-                }
-                if self.shares[member as usize].is_none() {
-                    self.shares[member as usize] = Some(share);
-                    let got = self
-                        .participants
-                        .iter()
-                        .filter(|&&m| self.shares[m as usize].is_some())
-                        .count();
-                    if got == self.participants.len() {
-                        self.finish_committee(ctx);
-                    }
-                }
+                let _ = self.core.push_share(&*self.env, member, round, share);
             }
             RoundMsg::CertSig {
                 msg_id,
@@ -981,23 +774,11 @@ impl Process<RoundMsg> for AggregatorActor {
                 sig,
             } => {
                 self.retrier.ack(msg_id);
-                let Some(cert) = &self.cert else { return };
-                let idx = member as usize;
-                if idx == 0 || idx > self.committee_size || self.cert_sigs[idx].is_some() {
-                    return;
-                }
-                // A forged or corrupted signature is simply not counted;
-                // the deadline decides whether the quorum was reached.
-                if !verify_transcript_sig(self.spec_seed, member, &cert.transcript, &sig) {
-                    return;
-                }
-                self.cert_sigs[idx] = Some(sig);
-                if (1..=self.committee_size).all(|m| self.cert_sigs[m].is_some()) {
-                    self.seal_cert(ctx);
-                }
+                let _ = self.core.push_cert_sig(member, sig);
             }
-            _ => {}
+            _ => return,
         }
+        self.advance(ctx);
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<RoundMsg>) {
@@ -1006,281 +787,41 @@ impl Process<RoundMsg> for AggregatorActor {
         // in-flight send died with the process. Re-send everything
         // unacknowledged and re-arm the deadline of the phase the
         // journal replay landed us in.
-        if self.finished {
-            if self.cert.is_some() {
-                self.retrier.resend_all(ctx);
-                ctx.set_timer(self.deadline, CERT_DEADLINE_KEY);
-            }
+        if self.core.round_done() {
             return;
         }
         self.retrier.resend_all(ctx);
-        if !self.aggregated {
-            ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-        } else if !self.share_phase {
-            ctx.set_timer(self.deadline, PING_DEADLINE_KEY);
+        let (delay, key) = if self.core.outcome().is_some() {
+            (self.deadline, CERT_DEADLINE_KEY)
+        } else if self.core.aggregate().is_none() {
+            (self.deadline * 2, SUBMIT_DEADLINE_KEY)
+        } else if self.coord.is_some() {
+            return;
+        } else if self.core.participants().is_empty() {
+            (self.deadline, PING_DEADLINE_KEY)
         } else {
-            ctx.set_timer(self.deadline, SHARE_DEADLINE_BASE + self.round as u64);
-        }
+            let round = self.core.share_round() as u64;
+            (self.deadline, SHARE_DEADLINE_BASE + round)
+        };
+        ctx.set_timer(delay, key);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<RoundMsg>, key: u64) {
-        if key == CERT_DEADLINE_KEY {
-            self.seal_cert(ctx);
-            return;
-        }
-        if self.finished {
-            // Only certificate-sign retries stay live after the result is
-            // durable; everything else died with the round.
-            if self.cert.is_some() {
-                let _ = self.retrier.on_timer(ctx, key);
-            }
-            return;
-        }
-        if key == SUBMIT_DEADLINE_KEY {
-            // A coordinator never substitutes for a missing shard — it
-            // keeps waiting (a crashed shard replays and retries), bounded
-            // by the round's virtual-time budget.
-            if self.agg_shards <= 1 {
-                self.start_aggregate(ctx);
-            }
-            return;
-        }
-        if key == PING_DEADLINE_KEY {
-            if !self.share_phase {
-                self.select_participants(ctx);
-            }
-            return;
-        }
-        if key == SHARE_DEADLINE_BASE + self.round as u64 && self.round > 0 {
-            // A chosen member crashed between pong and share. Mark the
-            // non-responders dead and reselect once.
-            let missing: Vec<u64> = self
-                .participants
-                .iter()
-                .copied()
-                .filter(|&m| self.shares[m as usize].is_none())
-                .collect();
-            if missing.is_empty() {
+        let share_deadline = SHARE_DEADLINE_BASE + self.core.share_round() as u64;
+        match key {
+            SUBMIT_DEADLINE_KEY => self.late.intake = true,
+            PING_DEADLINE_KEY => self.late.checkin = true,
+            CERT_DEADLINE_KEY => self.late.signatures = true,
+            k if k == share_deadline && self.core.share_round() > 0 => self.late.shares = true,
+            _ => {
+                // Once the round is done no retry is wanted any more.
+                if !self.core.round_done() {
+                    let _ = self.retrier.on_timer(ctx, key);
+                }
                 return;
             }
-            if self.reselected {
-                let alive = self.alive_members().len();
-                return self.fail(
-                    ctx,
-                    SimRoundError::CommitteeUnavailable {
-                        alive,
-                        need: self.threshold + 1,
-                    },
-                );
-            }
-            self.reselected = true;
-            for m in missing {
-                self.pongs[m as usize - 1] = None;
-            }
-            self.select_participants(ctx);
-            return;
         }
-        let _ = self.retrier.on_timer(ctx, key);
-    }
-}
-
-/// One aggregation shard of the sharded topology: plays the hub's intake
-/// role (verify proofs, forward to origins, collect submissions) for the
-/// origins it owns, then seals its partial summation-tree root and ships
-/// it to the coordinator.
-struct ShardActor {
-    shard: u32,
-    coord: ActorId,
-    plan: Rc<QueryPlan>,
-    keys: Rc<KeySet>,
-    /// `owned[v]`: whether this shard owns origin `v`.
-    owned: Vec<bool>,
-    owned_count: usize,
-    deadline: Tick,
-    seen_contribs: BTreeSet<(VertexId, u32)>,
-    next_fwd_id: u64,
-    retrier: Retrier<RoundMsg>,
-    submissions: Vec<Option<Ciphertext>>,
-    got_submissions: usize,
-    sealed: bool,
-    rejected: Vec<VertexId>,
-    /// `slot_map[o][s]`: the device expected to fill origin `o`'s slot
-    /// `s` — the shape of the certificate commitment leaves.
-    slot_map: Rc<Vec<Vec<VertexId>>>,
-    /// Per-slot intake outcomes, frozen into commitment leaves at seal.
-    statuses: BTreeMap<(VertexId, u32), SlotStatus>,
-    outcome: Rc<RefCell<AggOutcome>>,
-}
-
-impl ShardActor {
-    fn seal(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        if self.sealed {
-            return;
-        }
-        self.sealed = true;
-        // Owned origins that never submitted contribute the
-        // additive-neutral Enc(0), exactly like the hub; a shard that
-        // owns no origins at all seals a single Enc(0) so the
-        // coordinator's tree stays total over shards.
-        let (n_ring, t_pt) = (self.plan.n_ring, self.plan.t_pt);
-        let mut cts: Result<Vec<Ciphertext>, ExecError> = self
-            .submissions
-            .iter()
-            .zip(&self.owned)
-            .filter(|(_, &o)| o)
-            .map(|(s, _)| match s {
-                Some(ct) => Ok(ct.clone()),
-                None => Ok(Ciphertext::encrypt(
-                    &self.keys.public,
-                    &Plaintext::zero(n_ring, t_pt),
-                    ctx.rng(),
-                )?),
-            })
-            .collect();
-        if let Ok(v) = &cts {
-            if v.is_empty() {
-                cts = Ciphertext::encrypt(&self.keys.public, &Plaintext::zero(n_ring, t_pt), {
-                    ctx.rng()
-                })
-                .map(|ct| vec![ct])
-                .map_err(Into::into);
-            }
-        }
-        let part = match cts.and_then(seal_shard_root) {
-            Ok(p) => p,
-            Err(e) => {
-                self.outcome.borrow_mut().error = Some(e.into());
-                ctx.halt();
-                return;
-            }
-        };
-        ctx.phase_done("seal");
-        // Freeze the per-origin certificate commitments for the owned
-        // origins — before the root ships, mirroring the net shard's
-        // journal ordering.
-        let commits: Vec<OriginCommit> = self
-            .owned
-            .iter()
-            .enumerate()
-            .filter(|&(_, &o)| o)
-            .map(|(v, _)| {
-                let slots: Vec<(u32, SlotStatus)> = self.slot_map[v]
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &d)| {
-                        let status = self
-                            .statuses
-                            .get(&(v as VertexId, s as u32))
-                            .copied()
-                            .unwrap_or(SlotStatus::Missing);
-                        (d, status)
-                    })
-                    .collect();
-                commit_origin(v as u32, &slots)
-            })
-            .collect();
-        let msg = RoundMsg::ShardRootMsg {
-            msg_id: SUBMIT_MSG_ID,
-            shard: self.shard,
-            rejected: std::mem::take(&mut self.rejected),
-            commitment: part.commitment,
-            leaves: part.leaf_count as u32,
-            commits,
-            ct: part.sum,
-        };
-        let coord = self.coord;
-        self.retrier.send(ctx, SUBMIT_MSG_ID, coord, msg);
-    }
-}
-
-impl Process<RoundMsg> for ShardActor {
-    fn on_start(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-        if self.owned_count == 0 {
-            self.seal(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<RoundMsg>, from: ActorId, msg: RoundMsg) {
-        match msg {
-            RoundMsg::Contrib {
-                msg_id,
-                origin,
-                slot,
-                sc,
-            } => {
-                ctx.send(from, RoundMsg::ContribAck { msg_id });
-                if !self.seen_contribs.insert((origin, slot)) {
-                    return;
-                }
-                // §4.6–§4.7, per shard: verify the well-formedness proof;
-                // discard offenders, substituting the neutral Enc(x^0).
-                // Slot outcomes are recorded for the certificate
-                // commitment, with accepted digests taken pre-substitution.
-                let digest = ciphertext_digest(&sc.ct);
-                let ct = if self.plan.verify_proof(sc.proof.as_ref(), &digest) {
-                    self.statuses
-                        .insert((origin, slot), SlotStatus::Accepted(digest));
-                    sc.ct
-                } else {
-                    self.statuses.insert((origin, slot), SlotStatus::Rejected);
-                    if !self.rejected.contains(&sc.device) {
-                        self.rejected.push(sc.device);
-                    }
-                    self.plan
-                        .neutral_ct(&self.keys, ctx.rng())
-                        .expect("neutral encryption")
-                };
-                let fwd_id = self.next_fwd_id;
-                self.next_fwd_id += 1;
-                self.retrier.send(
-                    ctx,
-                    fwd_id,
-                    origin as ActorId,
-                    RoundMsg::OriginDeliver {
-                        msg_id: fwd_id,
-                        slot,
-                        ct,
-                    },
-                );
-            }
-            RoundMsg::OriginAck { msg_id } | RoundMsg::ShardRootAck { msg_id } => {
-                self.retrier.ack(msg_id);
-            }
-            RoundMsg::Submission { msg_id, origin, ct } => {
-                ctx.send(from, RoundMsg::SubmissionAck { msg_id });
-                let slot = origin as usize;
-                if !self.owned.get(slot).copied().unwrap_or(false) {
-                    return;
-                }
-                if self.submissions[slot].is_none() {
-                    self.submissions[slot] = Some(ct);
-                    self.got_submissions += 1;
-                    ctx.phase_done("submit");
-                    if self.got_submissions == self.owned_count {
-                        self.seal(ctx);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Ctx<RoundMsg>) {
-        // The simnet model of the WAL-journaled shard: state survives,
-        // timers and in-flight sends do not.
-        self.retrier.resend_all(ctx);
-        if !self.sealed {
-            ctx.set_timer(self.deadline * 2, SUBMIT_DEADLINE_KEY);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<RoundMsg>, key: u64) {
-        if key == SUBMIT_DEADLINE_KEY {
-            self.seal(ctx);
-            return;
-        }
-        let _ = self.retrier.on_timer(ctx, key);
+        self.advance(ctx);
     }
 }
 
@@ -1394,34 +935,20 @@ pub fn run_query_simulated(
     let members = elect(params.devices.max(n as u64), c, b"query-beacon");
     let mut setup_rng = StdRng::seed_from_u64(cfg.seed).with_stream(streams::DEAL);
     let key_shares = Rc::new(KeyShareSet::deal(&keys.secret, t, c, &mut setup_rng));
-    let keys = Rc::new(keys.clone());
 
     // Plan every origin's work (pure, thread-count-invariant), then
     // invert it into per-device contribution duties.
     let works: Vec<OriginWork> =
         par::map_indices(n, |v| origin_work(&plan, query, params, pop, v as VertexId));
-    let plan = Rc::new(plan);
-    let mut duties: Vec<Vec<Duty>> = vec![Vec::new(); n];
-    for work in &works {
-        for (slot, &(w, exp)) in work.requests.iter().enumerate() {
-            duties[w as usize].push(Duty {
-                origin: work.origin,
-                slot: slot as u32,
-                exp,
-            });
-        }
-    }
-    // The certificate commitment's leaf shape: which device fills each of
-    // an origin's contribution slots.
-    let slot_map: Rc<Vec<Vec<VertexId>>> = Rc::new(
-        works
-            .iter()
-            .map(|w| w.requests.iter().map(|&(d, _)| d).collect())
-            .collect(),
-    );
-    let query_rc = Rc::new(query.clone());
+    let mut duties = duties(&works);
+    let env = Rc::new(SimEnv {
+        plan,
+        keys: keys.clone(),
+        query: query.clone(),
+        works,
+    });
 
-    let outcome = Rc::new(RefCell::new(AggOutcome::default()));
+    let report = Rc::new(RefCell::new(SimReport::default()));
     let mut sim: Simulation<RoundMsg> = Simulation::new(cfg.seed)
         .with_latency(cfg.latency)
         .with_fault_plan(cfg.fault.clone());
@@ -1434,8 +961,9 @@ pub fn run_query_simulated(
         // no prover secret, so binding is per-witness, not per-statement —
         // the deployed system's Groth16 + end-to-end authentication is
         // what rules that out; see DESIGN.md.)
-        let evil = plan
-            .build_contribution(&keys, 0, 0, true, &mut setup_rng)
+        let evil = env
+            .plan
+            .build_contribution(&env.keys, 0, 0, true, &mut setup_rng)
             .expect("evil contribution");
         sim = sim.with_tamper(move |_src, _dst, msg: &mut RoundMsg| {
             if let RoundMsg::Contrib { sc, .. } = msg {
@@ -1453,64 +981,47 @@ pub fn run_query_simulated(
     // every classic actor keeps its id — and therefore its rng stream —
     // at any shard count.
     let shard_base = n + c + 1;
-    for (v, work) in works.into_iter().enumerate() {
-        let slots = work.requests.len();
+    for (v, duties) in duties.iter_mut().enumerate() {
         sim.add_actor(Box::new(DeviceActor {
             vertex: v as VertexId,
             spec_seed: cfg.seed,
             agg: n,
             agg_shards: shards,
             shard_base,
-            plan: Rc::clone(&plan),
-            keys: Rc::clone(&keys),
-            duties: std::mem::take(&mut duties[v]),
-            work,
+            env: Rc::clone(&env),
+            duties: std::mem::take(duties),
             cheating: MaliciousBehavior::is_cheater(behaviors, v as VertexId),
             dropped_out: MaliciousBehavior::dropped_out(behaviors, v as VertexId),
             deadline: cfg.deadline,
-            received: vec![None; slots],
+            received: vec![None; env.works[v].requests.len()],
             filled: 0,
             combined: false,
             retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
         }));
     }
-    sim.add_actor(Box::new(AggregatorActor {
-        plan: Rc::clone(&plan),
-        keys: Rc::clone(&keys),
-        query: Rc::clone(&query_rc),
-        spec_seed: cfg.seed,
+    let core_cfg = AggConfig {
+        seed: cfg.seed,
         with_proofs,
-        n_devices: n,
         committee_size: c,
         threshold: t,
-        noise_scale: plan.analysis.sensitivity / params.epsilon,
-        charged_epsilon: params.epsilon,
-        deadline: cfg.deadline,
-        seen_contribs: BTreeSet::new(),
-        next_fwd_id: 0,
-        retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
-        submissions: vec![None; if shards > 1 { 0 } else { n }],
-        got_submissions: 0,
-        agg_shards: shards,
-        shard_roots: vec![None; if shards > 1 { shards } else { 0 }],
-        got_roots: 0,
-        aggregated: false,
-        aggregate: None,
-        pongs: vec![None; c],
-        share_phase: false,
-        round: 0,
-        reselected: false,
-        participants: Vec::new(),
-        shares: vec![None; c + 1],
-        finished: false,
-        slot_map: Rc::clone(&slot_map),
-        statuses: BTreeMap::new(),
-        commits: vec![None; n],
-        cert_rejected: Vec::new(),
-        cert: None,
-        cert_sigs: vec![None; c + 1],
-        outcome: Rc::clone(&outcome),
-    }));
+        epsilon: params.epsilon,
+    };
+    let agg_actor = |mode: AggMode, coord: Option<ActorId>| {
+        Box::new(AggActor {
+            core: AggCore::new(&*env, core_cfg, mode),
+            env: Rc::clone(&env),
+            coord,
+            n_devices: n,
+            committee_size: c,
+            deadline: cfg.deadline,
+            late: Deadlines::default(),
+            next_fwd_id: 0,
+            retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
+            reported: false,
+            report: Rc::clone(&report),
+        })
+    };
+    sim.add_actor(agg_actor(AggMode::hub_process(shards), None));
     for m in 1..=c as u64 {
         sim.add_actor(Box::new(CommitteeActor {
             member: m,
@@ -1522,53 +1033,27 @@ pub fn run_query_simulated(
     }
     if shards > 1 {
         for s in 0..shards {
-            let owned: Vec<bool> = (0..n)
-                .map(|v| shard_of(v as VertexId, shards) == s)
-                .collect();
-            let owned_count = owned.iter().filter(|&&o| o).count();
-            sim.add_actor(Box::new(ShardActor {
-                shard: s as u32,
-                coord: n,
-                plan: Rc::clone(&plan),
-                keys: Rc::clone(&keys),
-                owned,
-                owned_count,
-                deadline: cfg.deadline,
-                seen_contribs: BTreeSet::new(),
-                next_fwd_id: 0,
-                retrier: Retrier::new(cfg.base_timeout, cfg.max_retries),
-                submissions: vec![None; n],
-                got_submissions: 0,
-                sealed: false,
-                rejected: Vec::new(),
-                slot_map: Rc::clone(&slot_map),
-                statuses: BTreeMap::new(),
-                outcome: Rc::clone(&outcome),
-            }));
+            sim.add_actor(agg_actor(AggMode::shard(s as u32, shards, n), Some(n)));
         }
     }
 
-    let report = sim.run(cfg.max_ticks);
-    let mut agg_out = outcome.borrow_mut();
-    if let Some(err) = agg_out.error.take() {
-        return Err(err);
-    }
-    let Some(plaintext) = agg_out.plaintext.take() else {
-        return Err(SimRoundError::NotConverged {
-            elapsed: report.elapsed,
-        });
+    let run = sim.run(cfg.max_ticks);
+    let mut report = report.borrow_mut();
+    let outcome = match report.outcome.take() {
+        None => {
+            return Err(SimRoundError::NotConverged {
+                elapsed: run.elapsed,
+            })
+        }
+        Some(outcome) => outcome?,
     };
-    let exact = decode_aggregate(&plaintext, query, &plan.analysis);
-    let released = release_noisy(&exact, &agg_out.noise, plan.released_len);
-    let mut rejected_devices = agg_out.rejected.clone();
-    rejected_devices.sort_unstable();
     Ok(SimRoundOutcome {
-        exact,
-        released,
-        rejected_devices,
+        exact: outcome.exact,
+        released: outcome.released,
+        rejected_devices: outcome.rejected,
         members,
         metrics: sim.metrics.clone(),
-        elapsed: report.elapsed,
-        certificate: agg_out.certificate.take(),
+        elapsed: run.elapsed,
+        certificate: report.certificate.take(),
     })
 }

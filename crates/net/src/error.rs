@@ -6,6 +6,7 @@
 //! typed rejection the caller can retry around.
 
 use crate::journal::JournalError;
+use mycelium::aggcore::InputError;
 use mycelium_crypto::AeadError;
 
 /// Transport-plane failure.
@@ -141,6 +142,14 @@ impl From<AeadError> for NetError {
 impl From<JournalError> for NetError {
     fn from(e: JournalError) -> Self {
         NetError::Journal(e)
+    }
+}
+
+/// A request naming something outside the round or the server's role is
+/// malformed input.
+impl From<InputError> for NetError {
+    fn from(e: InputError) -> Self {
+        NetError::Decode(e.to_string())
     }
 }
 

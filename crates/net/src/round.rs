@@ -30,6 +30,16 @@
 //!   so a respawned origin recovers by re-pulling), polls `PullStatus`,
 //!   and merges every process's wire metrics into one JSON artifact.
 //!
+//! ## The aggregation core
+//!
+//! Every aggregation decision (intake and proof checks, the aggregate,
+//! committee selection, threshold combine and noise, the certificate) is
+//! made by [`mycelium::aggcore::AggCore`], the state machine the simnet
+//! executor drives too. [`AggState`] adapts it to this executor: it maps
+//! each [`NetMsg`] request onto a core input, reads the core's deadlines
+//! off wall clocks, journals what the core applies (see *Durability*),
+//! and keeps the state digest and the privacy-budget ledger.
+//!
 //! ## Held polls
 //!
 //! No client sleeps between polls. The server holds the four polls —
@@ -70,24 +80,22 @@
 //! the client layer's at-least-once retry is safe — including across
 //! aggregator respawns.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use mycelium::decode::decode_aggregate;
-use mycelium::exec::{release_noisy, ExecStats, NoisyGroup};
-use mycelium::params::SystemParams;
-use mycelium::plan::{aggregate_and_audit, combine_origin, origin_work, OriginWork, QueryPlan};
-use mycelium_bgv::{Ciphertext, KeySet, Plaintext};
-use mycelium_budget::{BudgetError, Composition, EntryState, Ledger, LedgerEntry, LedgerOp};
-use mycelium_cert::{
-    build_segments, commit_origin, noise_commitment, render_json, sign_transcript,
-    verify_transcript_sig, CertSpec, CommitteeSig, OriginCommit, ReleasedGroup, RoundCertificate,
-    SlotStatus,
+use mycelium::aggcore::{
+    AggConfig, AggCore, AggEnv, Deadlines, Delivery, HeldCt, MemberTask, Transition,
 };
+use mycelium::exec::{ExecStats, NoisyGroup};
+use mycelium::params::SystemParams;
+use mycelium::plan::{combine_origin, duties, origin_work, OriginWork, QueryPlan};
+use mycelium_bgv::{Ciphertext, KeySet};
+use mycelium_budget::{BudgetError, Composition, EntryState, Ledger, LedgerEntry, LedgerOp};
+use mycelium_cert::{render_json, sign_transcript, RoundCertificate, SlotStatus};
 use mycelium_crypto::sha256::{sha256, Digest};
 use mycelium_graph::generate::{
     epidemic_population, ContactGraphConfig, EpidemicConfig, Population,
@@ -97,10 +105,7 @@ use mycelium_math::rng::{Rng, SeedableRng, StdRng};
 use mycelium_query::analyze::cost_report;
 use mycelium_query::ast::Query;
 use mycelium_query::builtin::paper_query;
-use mycelium_query::eval::PlainResult;
-use mycelium_sharing::threshold::{
-    combine, decryption_share, derive_joint_noise, DecryptionShare, KeyShareSet,
-};
+use mycelium_sharing::threshold::{decryption_share, DecryptionShare, KeyShareSet};
 
 use crate::channel::Identity;
 use crate::chaos::Supervised;
@@ -369,16 +374,7 @@ impl RoundSpec {
 
 pub use mycelium::summation::shard_of;
 
-/// One outgoing contribution duty of a device vertex.
-#[derive(Debug, Clone)]
-pub struct Duty {
-    /// The origin the contribution is addressed to.
-    pub origin: VertexId,
-    /// Slot in that origin's request list.
-    pub slot: u32,
-    /// The monomial exponent to encrypt.
-    pub exp: usize,
-}
+pub use mycelium::plan::Duty;
 
 /// Deterministically derived shared state.
 pub struct RoundSetup {
@@ -475,7 +471,7 @@ pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
     let keys = KeySet::with_deferred_relin(&params.bgv, keys_rng);
     let c = params.committee_size;
     let t = c / 2;
-    let mut deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(u64::MAX);
+    let mut deal_rng = StdRng::seed_from_u64(spec.seed).with_stream(stream::DEAL);
     let key_shares = KeyShareSet::deal(&keys.secret, t, c, &mut deal_rng);
     let plan = QueryPlan::new(&query, &pop, &params, spec.with_proofs)
         .map_err(|e| NetError::Decode(format!("query planning failed: {e}")))?;
@@ -483,16 +479,7 @@ pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
     let works: Vec<OriginWork> = (0..n)
         .map(|v| origin_work(&plan, &query, &params, &pop, v as VertexId))
         .collect();
-    let mut duties: Vec<Vec<Duty>> = vec![Vec::new(); n];
-    for work in &works {
-        for (slot, &(w, exp)) in work.requests.iter().enumerate() {
-            duties[w as usize].push(Duty {
-                origin: work.origin,
-                slot: slot as u32,
-                exp,
-            });
-        }
-    }
+    let duties = duties(&works);
     // The codec must decode into the *same* RNS context the keys carry:
     // `RnsPoly` arithmetic requires pointer-identical contexts.
     let cc = CodecCtx::with_context(Arc::clone(keys.public.context()), &params.bgv);
@@ -512,18 +499,10 @@ pub fn build_setup(spec: &RoundSpec) -> Result<RoundSetup, NetError> {
     })
 }
 
-/// What the aggregator releases at the end of the round.
-pub struct RoundOutcome {
-    /// Decoded exact (pre-noise) result.
-    pub exact: PlainResult,
-    /// The released, noised result.
-    pub released: Vec<NoisyGroup>,
-    /// Devices whose contributions failed proof verification.
-    pub rejected: Vec<VertexId>,
-}
+pub use mycelium::aggcore::RoundOutcome;
 
 /// Serializes an outcome (the aggregator → driver/test file format).
-pub fn encode_outcome(out: &Result<RoundOutcome, String>) -> Vec<u8> {
+pub fn encode_outcome(out: Result<&RoundOutcome, &str>) -> Vec<u8> {
     let mut w = Writer::new();
     match out {
         Err(e) => {
@@ -637,103 +616,35 @@ pub struct AggFaults {
 }
 
 /// Which role in the aggregation plane an [`AggState`] is playing.
-///
-/// The refactor's pivot: the old single-hub aggregator state is the
-/// *union* of per-origin intake state and committee protocol state, so
-/// instead of two divergent copies, one state machine runs in three
-/// modes that each enable a subset of the message set. `Hub` (the
-/// one-shard layout) enables everything and is bit-identical — digest,
-/// journal, and stderr included — to the pre-refactor aggregator.
-pub enum AggMode {
-    /// Classic single hub: intake + committee protocol in one process.
-    Hub,
-    /// One of `agg_shards` intake shards: verifies ZKPs and builds a
-    /// partial summation tree over the origins it owns
-    /// (`shard_of(v) == shard`); no committee state.
-    Shard {
-        /// This shard's index.
-        shard: u32,
-        /// `owned[v]`: whether origin `v` hashes to this shard.
-        owned: Vec<bool>,
-        /// Number of owned origins (the intake-complete target).
-        owned_count: usize,
-    },
-    /// The thin coordinator: collects sealed shard roots (its
-    /// "submissions" are per-shard partial aggregates, not per-origin
-    /// rows), homomorphically combines them, and drives committee
-    /// selection / threshold decryption exactly like the hub.
-    Coordinator {
-        /// Total shard count (the intake-complete target).
-        shards: u32,
-    },
-}
+pub use mycelium::aggcore::AggMode;
 
-mod held {
-    use mycelium::plan::ciphertext_digest;
-    use mycelium_bgv::Ciphertext;
-    use mycelium_crypto::sha256::Digest;
-
-    /// A ciphertext the aggregator holds, with its [`ciphertext_digest`]
-    /// taken once, when it enters the state. The fields are private to
-    /// this module, so no slot can hold a ciphertext without the digest
-    /// of exactly those bytes, and checkpoints hash 32 cached bytes per
-    /// slot instead of re-serializing every stored residue.
-    #[derive(Clone)]
-    pub(super) struct HeldCt {
-        ct: Ciphertext,
-        digest: Digest,
+impl AggEnv for RoundSetup {
+    fn plan(&self) -> &QueryPlan {
+        &self.plan
     }
-
-    impl HeldCt {
-        pub(super) fn new(ct: Ciphertext) -> Self {
-            let digest = ciphertext_digest(&ct);
-            HeldCt { ct, digest }
-        }
-
-        pub(super) fn ct(&self) -> &Ciphertext {
-            &self.ct
-        }
-
-        pub(super) fn digest(&self) -> &Digest {
-            &self.digest
-        }
+    fn keys(&self) -> &KeySet {
+        &self.keys
+    }
+    fn query(&self) -> &Query {
+        &self.query
+    }
+    fn works(&self) -> &[OriginWork] {
+        &self.works
     }
 }
 
-use held::HeldCt;
-
-/// The aggregator's entire protocol state. Crash-durable: every
-/// mutation is journaled before the reply, and [`AggState::recover`]
-/// rebuilds an identical state from the journal.
+/// The aggregator's entire protocol state: the [`AggCore`] plus what
+/// makes it crash-durable. Every mutation is journaled before the reply,
+/// and [`AggState::recover`] rebuilds an identical state from the
+/// journal.
 pub struct AggState {
     setup: Arc<RoundSetup>,
-    mode: AggMode,
+    core: AggCore,
     who: String,
+    // Wall clocks behind the core's deadlines (not journaled: a restart
+    // restarts them).
     started: Instant,
-    // Contribution phase: verified per-(origin, slot) ciphertexts.
-    contribs: Vec<Vec<Option<HeldCt>>>,
-    seen: BTreeSet<(u32, u32)>,
-    rejected: Vec<VertexId>,
-    // Submission phase.
-    submissions: Vec<Option<HeldCt>>,
-    got_submissions: usize,
-    aggregate: Option<HeldCt>,
-    // Committee phase.
-    pongs: Vec<Option<[u8; 32]>>,
-    share_round: u32,
-    participants: Vec<u64>,
-    reselected: bool,
-    shares: Vec<Option<DecryptionShare>>,
     share_deadline: Option<Instant>,
-    // Certificate plane: per-slot intake outcomes, frozen per-origin
-    // commitments, and the signed round certificate.
-    statuses: BTreeMap<(u32, u32), SlotStatus>,
-    commits: Vec<Option<OriginCommit>>,
-    commits_frozen: bool,
-    cert: Option<RoundCertificate>,
-    cert_sigs: Vec<Option<[u8; 64]>>,
-    cert_sealed: bool,
-    cert_bytes: Option<Vec<u8>>,
     cert_since: Option<Instant>,
     // Privacy budget (None when the round runs unmetered or in a
     // Shard-mode process, which never meters).
@@ -741,18 +652,15 @@ pub struct AggState {
     budget_wal: Option<Journal>,
     session_ops: BTreeSet<Vec<u8>>,
     round_budget_ops: Vec<Vec<u8>>,
-    charged_epsilon: f64,
-    // Result.
-    outcome: Option<Result<RoundOutcome, String>>,
+    // Liveness bookkeeping, not journaled: who has seen the round
+    // finish, and how many already-applied writes arrived again
+    // (at-least-once redelivery absorbed by the first-write-wins rule;
+    // reconciled against the injected fault plan by the net-chaos
+    // harness).
     finished_seen: BTreeSet<u64>,
     finished_shards: BTreeSet<u32>,
     driver_seen: bool,
-    // Liveness bookkeeping, not journaled: how many already-applied
-    // writes arrived again (at-least-once redelivery absorbed by the
-    // first-write-wins rule). Reconciled against the injected fault
-    // plan by the net-chaos harness.
     duplicates_suppressed: u64,
-    rng: StdRng,
     // Durability.
     journal: Option<Journal>,
     replaying: bool,
@@ -768,96 +676,45 @@ impl AggState {
     /// process: the classic single hub at one shard, the coordinator
     /// above that.
     pub fn new(setup: Arc<RoundSetup>) -> Self {
-        let mode = if setup.spec.agg_shards > 1 {
-            AggMode::Coordinator {
-                shards: setup.spec.agg_shards as u32,
-            }
-        } else {
-            AggMode::Hub
-        };
+        let mode = AggMode::hub_process(setup.spec.agg_shards);
         Self::with_mode(setup, mode)
     }
 
     /// Fresh (empty) state for aggregation shard `shard`.
     pub fn new_shard(setup: Arc<RoundSetup>, shard: u32) -> Self {
-        let n = setup.pop.graph.len();
-        let shards = setup.spec.agg_shards;
-        let owned: Vec<bool> = (0..n)
-            .map(|v| shard_of(v as VertexId, shards) == shard as usize)
-            .collect();
-        let owned_count = owned.iter().filter(|&&b| b).count();
-        Self::with_mode(
-            setup,
-            AggMode::Shard {
-                shard,
-                owned,
-                owned_count,
-            },
-        )
+        let mode = AggMode::shard(shard, setup.spec.agg_shards, setup.pop.graph.len());
+        Self::with_mode(setup, mode)
     }
 
     fn with_mode(setup: Arc<RoundSetup>, mode: AggMode) -> Self {
-        let n = setup.pop.graph.len();
-        let c = setup.committee_size;
-        // The coordinator's "submissions" are one sealed root per
-        // shard; everyone else collects one row per origin.
-        let (contribs, submissions): (Vec<Vec<Option<HeldCt>>>, Vec<Option<HeldCt>>) = match &mode {
-            AggMode::Coordinator { shards } => (Vec::new(), vec![None; *shards as usize]),
+        let (who, ledger) = match &mode {
+            AggMode::Shard { shard, .. } => (format!("agg-shard-{shard}"), None),
             _ => (
-                setup
-                    .works
-                    .iter()
-                    .map(|w| vec![None; w.requests.len()])
-                    .collect(),
-                vec![None; n],
+                "aggregator".to_string(),
+                setup.spec.budget.as_ref().and_then(|cfg| cfg.ledger().ok()),
             ),
         };
-        let (who, rng_stream) = match &mode {
-            AggMode::Shard { shard, .. } => (
-                format!("agg-shard-{shard}"),
-                stream::AGGREGATOR + 1 + *shard as u64,
-            ),
-            _ => ("aggregator".to_string(), stream::AGGREGATOR),
-        };
-        let ledger = match &mode {
-            AggMode::Shard { .. } => None,
-            _ => setup.spec.budget.as_ref().and_then(|cfg| cfg.ledger().ok()),
+        let cfg = AggConfig {
+            seed: setup.spec.seed,
+            with_proofs: setup.spec.with_proofs,
+            committee_size: setup.committee_size,
+            threshold: setup.threshold,
+            epsilon: setup.params.epsilon,
         };
         AggState {
-            mode,
+            core: AggCore::new(&*setup, cfg, mode),
             who,
             started: Instant::now(),
-            contribs,
-            seen: BTreeSet::new(),
-            rejected: Vec::new(),
-            submissions,
-            got_submissions: 0,
-            aggregate: None,
-            pongs: vec![None; c],
-            share_round: 0,
-            participants: Vec::new(),
-            reselected: false,
-            shares: vec![None; c + 1],
             share_deadline: None,
-            statuses: BTreeMap::new(),
-            commits: vec![None; n],
-            commits_frozen: false,
-            cert: None,
-            cert_sigs: vec![None; c + 1],
-            cert_sealed: false,
-            cert_bytes: None,
             cert_since: None,
             ledger,
             budget_wal: None,
             session_ops: BTreeSet::new(),
             round_budget_ops: Vec::new(),
-            charged_epsilon: setup.params.epsilon,
-            outcome: None,
             finished_seen: BTreeSet::new(),
             finished_shards: BTreeSet::new(),
             driver_seen: false,
             duplicates_suppressed: 0,
-            rng: StdRng::seed_from_u64(setup.spec.seed).with_stream(rng_stream),
             journal: None,
             replaying: false,
             dirty: false,
@@ -902,7 +759,7 @@ impl AggState {
         // Wall-clock deadlines do not survive a crash: restart them so
         // straggler detection (and the one reselect) still fires.
         st.started = Instant::now();
-        if !st.participants.is_empty() && st.outcome.is_none() {
+        if !st.core.participants().is_empty() && st.core.outcome().is_none() {
             st.share_deadline = Some(Instant::now() + st.share_wait());
         }
         if !records.is_empty() {
@@ -929,6 +786,8 @@ impl AggState {
     ///
     /// Held ciphertexts enter as their cached [`ciphertext_digest`], so
     /// a checkpoint costs O(slots), not O(stored ciphertext bytes).
+    ///
+    /// [`ciphertext_digest`]: mycelium::plan::ciphertext_digest
     pub fn digest(&self) -> Digest {
         self.digest_with(|held| *held.digest())
     }
@@ -936,34 +795,35 @@ impl AggState {
     /// The [`AggState::digest`] byte stream, with each held ciphertext
     /// represented by `ct_digest` of it.
     fn digest_with(&self, ct_digest: impl Fn(&HeldCt) -> Digest) -> Digest {
+        let core = &self.core;
         let mut w = Writer::new();
-        let put_opt_ct = |w: &mut Writer, held: &Option<HeldCt>| match held {
+        let put_opt_ct = |w: &mut Writer, held: Option<&HeldCt>| match held {
             None => w.put_u8(0),
             Some(held) => {
                 w.put_u8(1);
                 w.put_bytes(&ct_digest(held));
             }
         };
-        for slots in &self.contribs {
+        for slots in core.contribs() {
             for s in slots {
-                put_opt_ct(&mut w, s);
+                put_opt_ct(&mut w, s.as_ref());
             }
         }
-        w.put_u32(self.seen.len() as u32);
-        for &(o, s) in &self.seen {
+        w.put_u32(core.seen().len() as u32);
+        for &(o, s) in core.seen() {
             w.put_u32(o);
             w.put_u32(s);
         }
-        w.put_u32(self.rejected.len() as u32);
-        for &v in &self.rejected {
+        w.put_u32(core.rejected().len() as u32);
+        for &v in core.rejected() {
             w.put_u32(v);
         }
-        for s in &self.submissions {
-            put_opt_ct(&mut w, s);
+        for s in core.submissions() {
+            put_opt_ct(&mut w, s.as_ref());
         }
-        w.put_u64(self.got_submissions as u64);
-        put_opt_ct(&mut w, &self.aggregate);
-        for p in &self.pongs {
+        w.put_u64(core.got_submissions() as u64);
+        put_opt_ct(&mut w, core.aggregate());
+        for p in core.pongs() {
             match p {
                 None => w.put_u8(0),
                 Some(seed) => {
@@ -972,13 +832,13 @@ impl AggState {
                 }
             }
         }
-        w.put_u32(self.share_round);
-        w.put_u32(self.participants.len() as u32);
-        for &m in &self.participants {
+        w.put_u32(core.share_round());
+        w.put_u32(core.participants().len() as u32);
+        for &m in core.participants() {
             w.put_u64(m);
         }
-        w.put_u8(self.reselected as u8);
-        for s in &self.shares {
+        w.put_u8(core.reselected() as u8);
+        for s in core.shares() {
             match s {
                 None => w.put_u8(0),
                 Some(share) => {
@@ -987,16 +847,15 @@ impl AggState {
                 }
             }
         }
-        match &self.outcome {
+        match self.outcome_bytes() {
             None => w.put_u8(0),
-            Some(out) => {
+            Some(bytes) => {
                 w.put_u8(1);
-                let bytes = encode_outcome(out);
                 w.put_bytes(&bytes);
             }
         }
-        w.put_u32(self.statuses.len() as u32);
-        for (&(o, s), status) in &self.statuses {
+        w.put_u32(core.statuses().len() as u32);
+        for (&(o, s), status) in core.statuses() {
             w.put_u32(o);
             w.put_u32(s);
             match status {
@@ -1008,16 +867,16 @@ impl AggState {
                 }
             }
         }
-        w.put_u8(self.commits_frozen as u8);
+        w.put_u8(core.commits_frozen() as u8);
         w.put_bytes(&self.commit_digest());
-        match &self.cert {
+        match core.transcript() {
             None => w.put_u8(0),
-            Some(cert) => {
+            Some(transcript) => {
                 w.put_u8(1);
-                w.put_bytes(&cert.transcript);
+                w.put_bytes(transcript);
             }
         }
-        for s in &self.cert_sigs {
+        for s in core.cert_sigs() {
             match s {
                 None => w.put_u8(0),
                 Some(sig) => {
@@ -1026,8 +885,8 @@ impl AggState {
                 }
             }
         }
-        w.put_u8(self.cert_sealed as u8);
-        match &self.cert_bytes {
+        w.put_u8(core.cert_sealed() as u8);
+        match core.certificate() {
             None => w.put_u8(0),
             Some(bytes) => {
                 w.put_u8(1);
@@ -1041,7 +900,7 @@ impl AggState {
         if let Some(ledger) = &self.ledger {
             w.put_u8(1);
             w.put_bytes(&ledger.digest());
-            w.put_u64(self.charged_epsilon.to_bits());
+            w.put_u64(core.charged_epsilon().to_bits());
         }
         sha256(&w.finish())
     }
@@ -1051,8 +910,8 @@ impl AggState {
     /// intake and must land on the same tree.
     fn commit_digest(&self) -> Digest {
         let mut w = Writer::new();
-        w.put_u32(self.commits.len() as u32);
-        for cmt in &self.commits {
+        w.put_u32(self.core.commits().len() as u32);
+        for cmt in self.core.commits() {
             match cmt {
                 None => w.put_u8(0),
                 Some(cm) => {
@@ -1067,6 +926,14 @@ impl AggState {
         sha256(&w.finish())
     }
 
+    /// The decided outcome in the [`files::OUTCOME`] encoding.
+    fn outcome_bytes(&self) -> Option<Vec<u8>> {
+        self.core.outcome().map(|out| match out {
+            Ok(out) => encode_outcome(Ok(out)),
+            Err(failure) => encode_outcome(Err(&failure.to_string())),
+        })
+    }
+
     fn share_wait(&self) -> Duration {
         self.setup
             .spec
@@ -1074,13 +941,17 @@ impl AggState {
             .max(Duration::from_secs(10))
     }
 
-    fn contrib_deadline_passed(&self) -> bool {
-        self.started.elapsed() >= self.setup.spec.contrib_deadline
-    }
-
-    fn fail(&mut self, msg: String) {
-        if self.outcome.is_none() {
-            self.outcome = Some(Err(msg));
+    /// The core's deadlines, read off this process's wall clocks.
+    fn deadlines(&self) -> Deadlines {
+        let submit_deadline = self.setup.spec.contrib_deadline * 2;
+        let elapsed = self.started.elapsed();
+        Deadlines {
+            intake: elapsed >= submit_deadline,
+            checkin: elapsed >= submit_deadline + Duration::from_secs(5),
+            shares: self.share_deadline.is_some_and(|d| Instant::now() >= d),
+            signatures: self
+                .cert_since
+                .is_some_and(|since| since.elapsed() >= self.share_wait()),
         }
     }
 
@@ -1113,23 +984,11 @@ impl AggState {
         Ok(())
     }
 
-    fn append_req(&mut self, raw: &[u8]) -> Result<(), NetError> {
-        let mut record = Vec::with_capacity(1 + raw.len());
-        record.push(rec::REQ);
-        record.extend_from_slice(raw);
-        self.append_record(&record)
-    }
-
-    fn append_mark(&mut self, tag: u8) -> Result<(), NetError> {
-        self.digest_due = true;
-        self.append_record(&[tag])
-    }
-
-    fn append_fail(&mut self, msg: &str) -> Result<(), NetError> {
-        let mut record = Vec::with_capacity(1 + msg.len());
-        record.push(rec::FAIL);
-        record.extend_from_slice(msg.as_bytes());
-        self.digest_due = true;
+    /// Appends a record of tag `tag` with body `body`.
+    fn append_tagged(&mut self, tag: u8, body: &[u8]) -> Result<(), NetError> {
+        let mut record = Vec::with_capacity(1 + body.len());
+        record.push(tag);
+        record.extend_from_slice(body);
         self.append_record(&record)
     }
 
@@ -1142,10 +1001,7 @@ impl AggState {
             return Ok(());
         }
         if self.digest_due || self.undigested >= DIGEST_EVERY {
-            let mut record = Vec::with_capacity(33);
-            record.push(rec::DIGEST);
-            record.extend_from_slice(&self.digest());
-            self.append_record(&record)?;
+            self.append_tagged(rec::DIGEST, &self.digest())?;
             self.undigested = 0;
             self.digest_due = false;
         }
@@ -1156,7 +1012,9 @@ impl AggState {
         Ok(())
     }
 
-    /// Replays one journal record during [`AggState::recover`].
+    /// Replays one journal record during [`AggState::recover`]: requests
+    /// are re-applied, transition marks re-applied as the transition
+    /// they record.
     fn apply_record(&mut self, record: &[u8], seq: u64) -> Result<(), NetError> {
         let Some((&tag, body)) = record.split_first() else {
             return Err(JournalError::Replay {
@@ -1164,6 +1022,11 @@ impl AggState {
                 why: "empty record".into(),
             }
             .into());
+        };
+        let diverged = |want: Digest, got: Digest| JournalError::StateDiverged {
+            at_records: seq,
+            want,
+            got,
         };
         match tag {
             rec::REQ => {
@@ -1173,26 +1036,22 @@ impl AggState {
                     why: e.to_string(),
                 })?;
             }
-            rec::AGGREGATE => self.do_aggregate(),
-            rec::SELECT => self.do_select(),
-            rec::RESELECT => self.do_reselect(),
+            rec::AGGREGATE => self.apply_transition(Transition::Aggregate),
+            rec::SELECT => self.apply_transition(Transition::Select),
+            rec::RESELECT => self.apply_transition(Transition::Reselect),
+            rec::FAIL => self.apply_transition(Transition::GiveUp),
+            rec::SEAL => self.apply_transition(Transition::Seal),
             rec::COMMIT => {
                 let want: Digest = body.try_into().map_err(|_| JournalError::Replay {
                     seq,
                     why: format!("commitment freeze of {} bytes", body.len()),
                 })?;
-                self.do_commit();
+                self.apply_transition(Transition::Commit);
                 let got = self.commit_digest();
                 if got != want {
-                    return Err(JournalError::StateDiverged {
-                        at_records: seq,
-                        want,
-                        got,
-                    }
-                    .into());
+                    return Err(diverged(want, got).into());
                 }
             }
-            rec::SEAL => self.do_seal(),
             rec::BUDGET => {
                 let op = LedgerOp::decode(body).map_err(|e| JournalError::Replay {
                     seq,
@@ -1205,10 +1064,6 @@ impl AggState {
                     })?;
                 self.round_budget_ops.push(body.to_vec());
             }
-            rec::FAIL => {
-                let msg = String::from_utf8_lossy(body).into_owned();
-                self.fail(msg);
-            }
             rec::DIGEST => {
                 let want: Digest = body.try_into().map_err(|_| JournalError::Replay {
                     seq,
@@ -1216,12 +1071,7 @@ impl AggState {
                 })?;
                 let got = self.digest();
                 if got != want {
-                    return Err(JournalError::StateDiverged {
-                        at_records: seq,
-                        want,
-                        got,
-                    }
-                    .into());
+                    return Err(diverged(want, got).into());
                 }
             }
             other => {
@@ -1251,10 +1101,10 @@ impl AggState {
         ledger.apply(op)?;
         match op {
             LedgerOp::Admit(entry) if entry.round == self.setup.spec.round => {
-                self.charged_epsilon = entry.cost.epsilon;
+                self.core.set_charged_epsilon(entry.cost.epsilon);
             }
             LedgerOp::Refuse { entry, remaining } if entry.round == self.setup.spec.round => {
-                self.fail(format!(
+                self.core.abort(format!(
                     "budget exhausted: requested epsilon {}, remaining {}",
                     entry.cost.epsilon, remaining
                 ));
@@ -1269,11 +1119,8 @@ impl AggState {
     /// record forces a digest checkpoint, so replay divergence in the
     /// ledger is caught at the very next flush.
     fn record_budget_op(&mut self, bytes: &[u8]) -> Result<(), NetError> {
-        let mut record = Vec::with_capacity(1 + bytes.len());
-        record.push(rec::BUDGET);
-        record.extend_from_slice(bytes);
         self.digest_due = true;
-        self.append_record(&record)?;
+        self.append_tagged(rec::BUDGET, bytes)?;
         self.round_budget_ops.push(bytes.to_vec());
         Ok(())
     }
@@ -1290,7 +1137,7 @@ impl AggState {
         let Some(cfg) = self.setup.spec.budget.clone() else {
             return Ok(());
         };
-        if matches!(self.mode, AggMode::Shard { .. }) {
+        if matches!(self.core.mode(), AggMode::Shard { .. }) {
             return Ok(());
         }
         let budget_err = |e: BudgetError| NetError::Decode(format!("budget: {e}"));
@@ -1369,7 +1216,7 @@ impl AggState {
     /// the record, not from wall-clock state) and mirrors it into the
     /// session WAL for later rounds.
     fn settle_budget(&mut self) -> Result<(), NetError> {
-        if self.replaying || self.outcome.is_none() {
+        if self.replaying || self.core.outcome().is_none() {
             return Ok(());
         }
         let round = self.setup.spec.round;
@@ -1381,7 +1228,7 @@ impl AggState {
         if !reserved {
             return Ok(());
         }
-        let op = match &self.outcome {
+        let op = match self.core.outcome() {
             Some(Ok(_)) => LedgerOp::Charge { round },
             _ => LedgerOp::Refund { round },
         };
@@ -1400,498 +1247,92 @@ impl AggState {
 
     // --- phase transitions ----------------------------------------------
 
-    /// Freezes the per-origin certificate commitments from the slot
-    /// statuses recorded at intake. Runs right before the aggregate is
-    /// sealed (and is journaled before it), so late contributions can no
-    /// longer move the tree. The coordinator's commitments arrive inside
-    /// `ShardRoot` requests instead; its freeze just pins whatever the
-    /// shards delivered by intake-done.
-    fn do_commit(&mut self) {
-        if self.commits_frozen {
-            return;
-        }
-        self.commits_frozen = true;
-        let setup = Arc::clone(&self.setup);
-        let mine: Vec<usize> = match &self.mode {
-            AggMode::Hub => (0..setup.pop.graph.len()).collect(),
-            AggMode::Shard { owned, .. } => owned
-                .iter()
-                .enumerate()
-                .filter(|&(_, &own)| own)
-                .map(|(v, _)| v)
-                .collect(),
-            AggMode::Coordinator { .. } => Vec::new(),
-        };
-        for v in mine {
-            let slots: Vec<(u32, SlotStatus)> = setup.works[v]
-                .requests
-                .iter()
-                .enumerate()
-                .map(|(s, &(d, _))| {
-                    let status = self
-                        .statuses
-                        .get(&(v as u32, s as u32))
-                        .copied()
-                        .unwrap_or(SlotStatus::Missing);
-                    (d, status)
-                })
-                .collect();
-            self.commits[v] = Some(commit_origin(v as u32, &slots));
-        }
-    }
-
-    /// Assembles the round certificate once the outcome is decided.
-    /// Mirrors the simulated executor's construction field for field —
-    /// the two executors must emit byte-identical certificates for the
-    /// same round spec.
-    fn build_certificate(&mut self) {
-        let Some(Ok(out)) = &self.outcome else { return };
-        if !self.commits_frozen || self.commits.iter().any(|c| c.is_none()) {
-            if !self.replaying {
+    /// Applies one transition to the core, restarting the share deadline
+    /// a selection opens.
+    fn apply_transition(&mut self, t: Transition) {
+        self.core.apply(&*self.setup, t);
+        match t {
+            Transition::Select | Transition::Reselect => {
+                self.share_deadline = Some(Instant::now() + self.share_wait());
+            }
+            // A built certificate that sealed without bytes fell short of
+            // its signature quorum.
+            Transition::Seal
+                if !self.replaying
+                    && self.core.certificate().is_none()
+                    && self.core.transcript().is_some() =>
+            {
                 eprintln!(
-                    "{}: certificate skipped: incomplete commitment plane",
-                    self.who
+                    "{}: certificate unsigned: {} of {} needed signatures",
+                    self.who,
+                    self.core.cert_sigs().iter().flatten().count(),
+                    self.setup.threshold + 1
                 );
             }
-            return;
-        }
-        let leaves: Vec<Digest> = self
-            .commits
-            .iter()
-            .map(|c| c.as_ref().expect("checked").leaf)
-            .collect();
-        let counts: Vec<(u32, u32)> = self
-            .commits
-            .iter()
-            .map(|c| {
-                let c = c.as_ref().expect("checked");
-                (c.accepted, c.rejected)
-            })
-            .collect();
-        let (segments, contrib_root) = build_segments(&leaves, &counts);
-        let mut rejected: Vec<u32> = out.rejected.clone();
-        rejected.sort_unstable();
-        rejected.dedup();
-        let spec = CertSpec {
-            seed: self.setup.spec.seed,
-            devices: self.setup.pop.graph.len() as u32,
-            query: self.setup.spec.query.clone(),
-            with_proofs: self.setup.spec.with_proofs,
-        };
-        let seeds: Vec<[u8; 32]> = self.pongs.iter().filter_map(|p| *p).collect();
-        let mut cert = RoundCertificate {
-            spec_digest: spec.digest(),
-            spec,
-            committee: self.setup.committee_size as u32,
-            threshold: self.setup.threshold as u32,
-            share_round: self.share_round,
-            participants: self.participants.iter().map(|&m| m as u32).collect(),
-            leaves,
-            segments,
-            contrib_root,
-            rejected,
-            aggregate_digest: *self.aggregate.as_ref().expect("aggregated").digest(),
-            noise_commitment: noise_commitment(&seeds),
-            charged_epsilon_bits: self.charged_epsilon.to_bits(),
-            released: out
-                .released
-                .iter()
-                .map(|g| ReleasedGroup {
-                    label: g.label.clone(),
-                    histogram: g.histogram.clone(),
-                })
-                .collect(),
-            transcript: [0u8; 32],
-            signatures: Vec::new(),
-        };
-        cert.transcript = cert.compute_transcript();
-        self.cert = Some(cert);
-    }
-
-    /// Attaches whatever valid committee signatures arrived and seals
-    /// the certificate. Fewer than `t + 1` signatures means no
-    /// certificate bytes — the round result stands, but it is not
-    /// independently checkable.
-    fn do_seal(&mut self) {
-        if self.cert_sealed {
-            return;
-        }
-        self.cert_sealed = true;
-        let threshold = self.setup.threshold;
-        let Some(cert) = self.cert.as_mut() else {
-            return;
-        };
-        cert.signatures = (1..=self.setup.committee_size as u64)
-            .filter_map(|m| self.cert_sigs[m as usize].map(|sig| CommitteeSig { member: m, sig }))
-            .collect();
-        if cert.signatures.len() > threshold {
-            self.cert_bytes = Some(cert.encode());
-        } else if !self.replaying {
-            eprintln!(
-                "{}: certificate unsigned: {} of {} needed signatures",
-                self.who,
-                cert.signatures.len(),
-                threshold + 1
-            );
+            _ => {}
         }
     }
 
-    /// Forms this process's aggregate.
-    ///
-    /// * Hub: sum over every origin row, missing origins contribute
-    ///   `Enc(0)`.
-    /// * Shard: partial summation tree over the *owned* origins only
-    ///   (same `Enc(0)` substitution — homomorphic addition is
-    ///   associative, so the per-shard grouping cannot change the sum).
-    /// * Coordinator: sum of the sealed shard roots; `tick` only fires
-    ///   this once every root arrived, so a missing shard delays the
-    ///   combine rather than silently contributing zero.
-    fn do_aggregate(&mut self) {
-        if self.aggregate.is_some() {
-            return;
-        }
-        let (n_ring, t_pt) = (self.setup.plan.n_ring, self.setup.plan.t_pt);
-        let keys = &self.setup.keys;
-        let rng = &mut self.rng;
-        let mut enc_zero = |s: &Option<HeldCt>| match s {
-            Some(held) => Ok(held.ct().clone()),
-            None => Ciphertext::encrypt(&keys.public, &Plaintext::zero(n_ring, t_pt), rng),
-        };
-        let cts: Result<Vec<Ciphertext>, String> = match &self.mode {
-            AggMode::Hub => self
-                .submissions
-                .iter()
-                .map(&mut enc_zero)
-                .collect::<Result<_, _>>()
-                .map_err(|e| format!("substitute encryption failed: {e}")),
-            AggMode::Shard { owned, .. } => {
-                let mut cts = self
-                    .submissions
-                    .iter()
-                    .zip(owned.iter())
-                    .filter(|(_, &own)| own)
-                    .map(|(s, _)| enc_zero(s))
-                    .collect::<Result<Vec<_>, _>>();
-                // A shard that owns no origins still seals one neutral
-                // Enc(0) so the coordinator's tree stays total over shards.
-                if matches!(&cts, Ok(v) if v.is_empty()) {
-                    cts = enc_zero(&None).map(|ct| vec![ct]);
-                }
-                cts.map_err(|e| format!("substitute encryption failed: {e}"))
-            }
-            AggMode::Coordinator { .. } => self
-                .submissions
-                .iter()
-                .enumerate()
-                .map(|(s, root)| {
-                    root.as_ref()
-                        .map(|held| held.ct().clone())
-                        .ok_or(format!("shard {s} root missing"))
-                })
-                .collect(),
-        };
-        match cts.and_then(|cts| {
-            aggregate_and_audit(cts).map_err(|e| format!("aggregation failed: {e}"))
-        }) {
-            Ok(agg) => self.aggregate = Some(HeldCt::new(agg)),
-            Err(e) => self.fail(e),
-        }
-    }
-
-    /// Picks the first `t + 1` alive members as decryption participants.
-    fn do_select(&mut self) {
-        let alive = self.alive_members();
-        let need = self.setup.threshold + 1;
-        if alive.len() < need {
-            return self.fail(format!(
-                "committee unavailable: {} alive, {need} needed",
-                alive.len()
-            ));
-        }
-        self.share_round += 1;
-        self.participants = alive[..need].to_vec();
-        self.shares = vec![None; self.setup.committee_size + 1];
-        self.share_deadline = Some(Instant::now() + self.share_wait());
-    }
-
-    /// Drops the straggling participants' pongs and selects again.
-    fn do_reselect(&mut self) {
-        self.reselected = true;
-        let missing: Vec<u64> = self
-            .participants
-            .iter()
-            .copied()
-            .filter(|&m| self.shares[m as usize].is_none())
-            .collect();
-        for m in missing {
-            self.pongs[m as usize - 1] = None;
-        }
-        self.do_select();
-    }
-
-    fn alive_members(&self) -> Vec<u64> {
-        (1..=self.setup.committee_size as u64)
-            .filter(|&m| self.pongs[m as usize - 1].is_some())
-            .collect()
-    }
-
-    fn finish_committee(&mut self) {
-        let aggregate = self.aggregate.as_ref().expect("aggregated").ct();
-        let shares: Vec<DecryptionShare> = self
-            .participants
-            .iter()
-            .map(|&m| self.shares[m as usize].clone().expect("share collected"))
-            .collect();
-        let plaintext = match combine(aggregate, &shares, self.setup.threshold) {
-            Ok(pt) => pt,
-            Err(e) => return self.fail(format!("threshold combine failed: {e}")),
-        };
-        let exact = decode_aggregate(&plaintext, &self.setup.query, &self.setup.plan.analysis);
-        let seeds: Vec<[u8; 32]> = self.pongs.iter().filter_map(|p| *p).collect();
-        let noise_scale = self.setup.plan.analysis.sensitivity / self.setup.params.epsilon;
-        let noise = derive_joint_noise(&seeds, noise_scale, self.setup.plan.released_values());
-        let released = release_noisy(&exact, &noise, self.setup.plan.released_len);
-        let mut rejected = self.rejected.clone();
-        rejected.sort_unstable();
-        self.outcome = Some(Ok(RoundOutcome {
-            exact,
-            released,
-            rejected,
-        }));
-        // The result is decided; what remains is collecting committee
-        // signatures over the certificate transcript. Building the
-        // certificate here — inside the journaled request that delivered
-        // the last share — makes replay re-derive it bit-identically.
-        self.build_certificate();
-    }
-
-    /// Lazy wall-clock phase transitions, run around every request and
-    /// by the server's idle loop. Each transition is journaled as a
-    /// mark record *before* it is applied, so replay re-applies it at
-    /// the same point in the event order instead of re-evaluating
-    /// wall-clock conditions.
+    /// Runs every transition the core says is due, each journaled as its
+    /// mark record *before* it is applied, so replay re-applies it at the
+    /// same point in the event order instead of re-evaluating wall-clock
+    /// conditions; then settles the budget once the outcome is known.
+    /// Runs around every request and in the server's idle loop.
     fn tick(&mut self) -> Result<(), NetError> {
         if self.replaying {
             return Ok(());
         }
-        if self.outcome.is_none() {
-            self.tick_round()?;
-        }
-        self.settle_budget()?;
-        self.tick_cert()
-    }
-
-    /// The pre-outcome transitions: commitment freeze, aggregate,
-    /// participant selection, reselect-or-fail.
-    fn tick_round(&mut self) -> Result<(), NetError> {
-        // Aggregate once every expected input arrived — origin rows for
-        // the hub / a shard, sealed roots for the coordinator. Hub and
-        // shard also fire on the extended deadline (missing origins
-        // contribute Enc(0)); the coordinator never does: a shard root
-        // is a whole subpopulation, so it waits (bounded by the round
-        // timeout) for the chaos supervisor to respawn the shard.
-        let submit_deadline = self.setup.spec.contrib_deadline * 2;
-        let intake_done = match &self.mode {
-            AggMode::Hub => {
-                self.got_submissions == self.setup.pop.graph.len()
-                    || self.started.elapsed() >= submit_deadline
+        loop {
+            if self.core.certificate_pending() {
+                self.cert_since.get_or_insert_with(Instant::now);
             }
-            AggMode::Shard { owned_count, .. } => {
-                self.got_submissions == *owned_count || self.started.elapsed() >= submit_deadline
-            }
-            AggMode::Coordinator { shards } => self.got_submissions == *shards as usize,
-        };
-        if self.aggregate.is_none() && intake_done {
-            // Commitment-then-seal: freeze (and journal) the per-origin
-            // certificate commitments before the aggregate exists, so
-            // nothing that arrives later can move the committed tree.
-            if !self.commits_frozen {
-                self.do_commit();
-                let mut record = Vec::with_capacity(33);
-                record.push(rec::COMMIT);
-                record.extend_from_slice(&self.commit_digest());
-                self.digest_due = true;
-                self.append_record(&record)?;
-            }
-            self.append_mark(rec::AGGREGATE)?;
-            self.do_aggregate();
-        }
-        // A shard's round ends at its sealed root: no committee phases.
-        if matches!(self.mode, AggMode::Shard { .. }) {
-            return Ok(());
-        }
-        // Select participants once the aggregate exists and the whole
-        // committee checked in (or the grace period expires).
-        if self.outcome.is_none() && self.aggregate.is_some() && self.participants.is_empty() {
-            let alive = self.alive_members();
-            let all_in = alive.len() == self.setup.committee_size;
-            let grace_over = self.started.elapsed() >= submit_deadline + Duration::from_secs(5);
-            if all_in || grace_over {
-                self.append_mark(rec::SELECT)?;
-                self.do_select();
-            }
-        }
-        // Reselect once if a chosen member never delivered its share.
-        if let Some(deadline) = self.share_deadline {
-            if self.outcome.is_none() && Instant::now() >= deadline {
-                let missing = self
-                    .participants
-                    .iter()
-                    .any(|&m| self.shares[m as usize].is_none());
-                if missing {
-                    if self.reselected {
-                        let msg = format!(
-                            "committee unavailable: {} alive, {} needed",
-                            self.alive_members().len(),
-                            self.setup.threshold + 1
-                        );
-                        self.append_fail(&msg)?;
-                        self.fail(msg);
-                    } else {
-                        self.append_mark(rec::RESELECT)?;
-                        self.do_reselect();
-                    }
+            let Some(t) = self.core.due(self.deadlines()) else {
+                break;
+            };
+            self.digest_due = true;
+            match t {
+                // The freeze's record carries the frozen plane's digest,
+                // so it is written once the plane exists.
+                Transition::Commit => {
+                    self.apply_transition(t);
+                    self.append_tagged(rec::COMMIT, &self.commit_digest())?;
+                    continue;
                 }
+                Transition::Aggregate => self.append_tagged(rec::AGGREGATE, &[])?,
+                Transition::Select => self.append_tagged(rec::SELECT, &[])?,
+                Transition::Reselect => self.append_tagged(rec::RESELECT, &[])?,
+                Transition::GiveUp => {
+                    let failure = self.core.committee_unavailable().to_string();
+                    self.append_tagged(rec::FAIL, failure.as_bytes())?;
+                }
+                Transition::Seal => self.append_tagged(rec::SEAL, &[])?,
             }
+            self.apply_transition(t);
         }
-        Ok(())
+        self.settle_budget()
     }
 
-    /// The post-outcome transition: seal the certificate once every
-    /// committee member signed its transcript, or once the grace period
-    /// expires (quorum then decides whether certificate bytes exist).
-    fn tick_cert(&mut self) -> Result<(), NetError> {
-        if self.cert_sealed || self.cert.is_none() || !matches!(self.outcome, Some(Ok(_))) {
-            return Ok(());
-        }
-        let c = self.setup.committee_size;
-        let all_signed = (1..=c).all(|m| self.cert_sigs[m].is_some());
-        let since = *self.cert_since.get_or_insert_with(Instant::now);
-        if all_signed || since.elapsed() >= self.share_wait() {
-            self.append_mark(rec::SEAL)?;
-            self.do_seal();
-        }
-        Ok(())
-    }
-
-    /// Whether the round is fully over from a client's point of view:
-    /// the outcome exists *and* the certificate (when one was built) is
-    /// sealed. `Finished` replies wait for this, so no role can exit
-    /// while its certificate signature is still wanted.
-    fn round_done(&self) -> bool {
-        match &self.outcome {
-            None => false,
-            Some(Err(_)) => true,
-            Some(Ok(_)) => self.cert.is_none() || self.cert_sealed,
-        }
-    }
-
-    /// Whether this process accepts intake traffic for origin `v`.
-    fn owns_origin(&self, origin: u32) -> bool {
-        match &self.mode {
-            AggMode::Hub => true,
-            AggMode::Shard { owned, .. } => owned.get(origin as usize).copied().unwrap_or(false),
-            AggMode::Coordinator { .. } => false,
-        }
-    }
-
-    /// Whether this process runs the committee protocol (shards don't).
-    fn committee_enabled(&self) -> bool {
-        !matches!(self.mode, AggMode::Shard { .. })
-    }
-
-    /// Whether `msg` would mutate protocol state right now — the
-    /// journal-before-reply predicate. Liveness bookkeeping
-    /// (`finished_seen`, `finished_shards`, `driver_seen`) does not
-    /// count: it is not replayed state.
-    fn mutates(&self, msg: &NetMsg) -> bool {
-        let n = self.setup.pop.graph.len() as u32;
-        let c = self.setup.committee_size as u64;
+    /// What `msg` would do to the protocol state. [`Delivery::New`] is the
+    /// journal-before-reply predicate; [`Delivery::Duplicate`] is a
+    /// redelivery the first-write-wins rule absorbs. `None` for polls and
+    /// invalid requests.
+    fn delivery(&self, msg: &NetMsg) -> Option<Delivery> {
+        let core = &self.core;
         match msg {
-            NetMsg::PushContrib { origin, slot, .. } => {
-                !self.round_done()
-                    && *origin < n
-                    && self.owns_origin(*origin)
-                    && (*slot as usize) < self.contribs[*origin as usize].len()
-                    && !self.seen.contains(&(*origin, *slot))
-            }
-            NetMsg::SubmitOrigin { origin, .. } => {
-                !self.round_done()
-                    && *origin < n
-                    && self.owns_origin(*origin)
-                    && self.submissions[*origin as usize].is_none()
-            }
-            NetMsg::ShardRoot { shard, .. } => {
-                !self.round_done()
-                    && matches!(&self.mode, AggMode::Coordinator { shards } if *shard < *shards)
-                    && self.submissions[*shard as usize].is_none()
-            }
-            NetMsg::CommitteeCheckIn { member, .. } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && self.pongs[*member as usize - 1].is_none()
-            }
-            NetMsg::PushShare { member, round, .. } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && self.outcome.is_none()
-                    && *round == self.share_round
-                    && self.participants.contains(member)
-                    && self.shares[*member as usize].is_none()
-            }
-            NetMsg::PushCertSig { member, sig } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && !self.cert_sealed
-                    && self.cert_sigs[*member as usize].is_none()
-                    && self.cert.as_ref().is_some_and(|cert| {
-                        verify_transcript_sig(self.setup.spec.seed, *member, &cert.transcript, sig)
-                    })
-            }
-            _ => false,
+            NetMsg::PushContrib { origin, slot, .. } => core.check_contrib(*origin, *slot),
+            NetMsg::SubmitOrigin { origin, .. } => core.check_submission(*origin),
+            NetMsg::ShardRoot {
+                shard,
+                rejected,
+                commits,
+                ..
+            } => core.check_shard_root(*shard, rejected, commits),
+            NetMsg::CommitteeCheckIn { member, .. } => core.check_check_in(*member),
+            NetMsg::PushShare { member, round, .. } => core.check_share(*member, *round),
+            NetMsg::PushCertSig { member, sig } => core.check_cert_sig(*member, sig),
+            _ => return None,
         }
-    }
-
-    /// Whether `msg` is a *redelivery* of a write this state already
-    /// holds — the complement of [`AggState::mutates`] restricted to
-    /// "the first copy landed". Out-of-range or invalid requests are
-    /// not duplicates; neither are the always-idempotent polls.
-    fn is_duplicate(&self, msg: &NetMsg) -> bool {
-        let n = self.setup.pop.graph.len() as u32;
-        let c = self.setup.committee_size as u64;
-        match msg {
-            NetMsg::PushContrib { origin, slot, .. } => {
-                *origin < n && self.owns_origin(*origin) && self.seen.contains(&(*origin, *slot))
-            }
-            NetMsg::SubmitOrigin { origin, .. } => {
-                *origin < n
-                    && self.owns_origin(*origin)
-                    && self.submissions[*origin as usize].is_some()
-            }
-            NetMsg::ShardRoot { shard, .. } => {
-                matches!(&self.mode, AggMode::Coordinator { shards } if *shard < *shards)
-                    && self.submissions[*shard as usize].is_some()
-            }
-            // CommitteeCheckIn is deliberately absent: members re-poll
-            // it by design, so a repeat is a poll, not a redelivery.
-            NetMsg::PushShare { member, round, .. } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && *round == self.share_round
-                    && self.shares[*member as usize].is_some()
-            }
-            NetMsg::PushCertSig { member, .. } => {
-                self.committee_enabled()
-                    && *member >= 1
-                    && *member <= c
-                    && self.cert_sigs[*member as usize].is_some()
-            }
-            _ => false,
-        }
+        .ok()
     }
 
     /// Duplicate writes absorbed so far (see `duplicates_suppressed`).
@@ -1899,73 +1340,34 @@ impl AggState {
         self.duplicates_suppressed
     }
 
+    /// `Finished` once the round is done, otherwise `reply`.
+    fn unless_done(&self, reply: NetMsg) -> NetMsg {
+        if self.core.round_done() {
+            NetMsg::Finished
+        } else {
+            reply
+        }
+    }
+
     /// Applies one request to the state and computes the reply. Pure
     /// protocol logic: no journaling, no wall-clock reads — this is the
     /// function journal replay re-runs.
     fn apply(&mut self, msg: NetMsg) -> Result<NetMsg, NetError> {
-        let n = self.setup.pop.graph.len() as u32;
-        let c = self.setup.committee_size as u64;
+        let live = !self.replaying;
         Ok(match msg {
+            // A decided round (including a budget-refused one) takes no
+            // more intake: `Finished` tells the client to stand down.
             NetMsg::PushContrib { origin, slot, sc } => {
-                if origin >= n
-                    || !self.owns_origin(origin)
-                    || slot as usize >= self.contribs[origin as usize].len()
-                {
-                    return Err(NetError::Decode(format!(
-                        "contribution for origin {origin} slot {slot} out of range"
-                    )));
-                }
-                // A decided round (including a budget-refused one)
-                // takes no more intake: tell the client to stand down.
-                if self.round_done() {
-                    return Ok(NetMsg::Finished);
-                }
-                if self.seen.insert((origin, slot)) {
-                    // §4.6–§4.7: verify the proof; substitute the neutral
-                    // Enc(x^0) for offenders and remember them. The slot
-                    // outcome is recorded for the certificate commitment
-                    // — accepted slots with the digest of the ciphertext
-                    // *as verified*, before any substitution. That one
-                    // digest is the proof statement, the slot status and
-                    // the held ciphertext's cached digest.
-                    let sc = *sc;
-                    let held = HeldCt::new(sc.ct);
-                    let held = if self
-                        .setup
-                        .plan
-                        .verify_proof(sc.proof.as_ref(), held.digest())
-                    {
-                        self.statuses
-                            .insert((origin, slot), SlotStatus::Accepted(*held.digest()));
-                        held
-                    } else {
-                        self.statuses.insert((origin, slot), SlotStatus::Rejected);
-                        if !self.rejected.contains(&sc.device) {
-                            self.rejected.push(sc.device);
-                        }
-                        let neutral = self
-                            .setup
-                            .plan
-                            .neutral_ct(&self.setup.keys, &mut self.rng)
-                            .map_err(|e| {
-                                NetError::Decode(format!("neutral encryption failed: {e}"))
-                            })?;
-                        HeldCt::new(neutral)
-                    };
-                    self.contribs[origin as usize][slot as usize] = Some(held);
-                }
-                NetMsg::Ack
+                self.core.contribute(&*self.setup, origin, slot, *sc)?;
+                self.unless_done(NetMsg::Ack)
             }
             NetMsg::PullOrigin { origin } => {
-                if origin >= n || !self.owns_origin(origin) {
-                    return Err(NetError::Decode(format!("origin {origin} out of range")));
-                }
-                if self.round_done() {
-                    return Ok(NetMsg::Finished);
-                }
-                let slots = &self.contribs[origin as usize];
+                let slots = self.core.origin_slots(origin)?;
                 let have = slots.iter().filter(|s| s.is_some()).count();
-                if have == slots.len() || (!self.replaying && self.contrib_deadline_passed()) {
+                let deadline = self.setup.spec.contrib_deadline;
+                if self.core.round_done() {
+                    NetMsg::Finished
+                } else if have == slots.len() || (live && self.started.elapsed() >= deadline) {
                     NetMsg::OriginJob {
                         cts: slots
                             .iter()
@@ -1980,56 +1382,32 @@ impl AggState {
                 }
             }
             NetMsg::SubmitOrigin { origin, ct } => {
-                if origin >= n || !self.owns_origin(origin) {
-                    return Err(NetError::Decode(format!("origin {origin} out of range")));
-                }
-                if self.round_done() {
-                    return Ok(NetMsg::Finished);
-                }
-                if self.submissions[origin as usize].is_none() {
-                    self.submissions[origin as usize] = Some(HeldCt::new(*ct));
-                    self.got_submissions += 1;
-                }
-                NetMsg::Ack
+                self.core.submit(origin, *ct)?;
+                self.unless_done(NetMsg::Ack)
             }
             NetMsg::CommitteeCheckIn { member, seed } => {
-                if !self.committee_enabled() || member < 1 || member > c {
-                    return Err(NetError::Decode(format!("member {member} out of range")));
-                }
-                if self.pongs[member as usize - 1].is_none() {
-                    self.pongs[member as usize - 1] = Some(seed);
-                }
-                if self.round_done() {
-                    if !self.replaying {
+                self.core.check_in(member, seed)?;
+                if self.core.round_done() {
+                    if live {
                         self.finished_seen.insert(member);
                     }
                     NetMsg::Finished
-                } else if let (Some(Ok(_)), Some(cert)) = (&self.outcome, &self.cert) {
-                    // The result is decided; the only thing left to
-                    // collect is this member's certificate signature.
-                    if self.cert_sigs[member as usize].is_none() {
-                        NetMsg::CertSignTask {
-                            transcript: cert.transcript,
-                        }
-                    } else {
-                        NetMsg::CommitteeWait
-                    }
-                } else if self.participants.contains(&member)
-                    && self.shares[member as usize].is_none()
-                {
-                    NetMsg::CommitteeShareTask {
-                        round: self.share_round,
-                        participants: self.participants.clone(),
-                        ct: Box::new(
-                            self.aggregate
-                                .as_ref()
-                                .expect("selection implies aggregate")
-                                .ct()
-                                .clone(),
-                        ),
-                    }
                 } else {
-                    NetMsg::CommitteeWait
+                    match self.core.member_task(member) {
+                        Some(MemberTask::Share {
+                            round,
+                            participants,
+                            aggregate,
+                        }) => NetMsg::CommitteeShareTask {
+                            round,
+                            participants: participants.to_vec(),
+                            ct: Box::new(aggregate.clone()),
+                        },
+                        Some(MemberTask::Sign(transcript)) => NetMsg::CertSignTask {
+                            transcript: *transcript,
+                        },
+                        None => NetMsg::CommitteeWait,
+                    }
                 }
             }
             NetMsg::PushShare {
@@ -2037,54 +1415,26 @@ impl AggState {
                 round,
                 share,
             } => {
-                if !self.committee_enabled() || member < 1 || member > c {
-                    return Err(NetError::Decode(format!("member {member} out of range")));
-                }
-                if self.outcome.is_none()
-                    && round == self.share_round
-                    && self.participants.contains(&member)
-                    && self.shares[member as usize].is_none()
-                {
-                    self.shares[member as usize] = Some(*share);
-                    let done = self
-                        .participants
-                        .iter()
-                        .all(|&m| self.shares[m as usize].is_some());
-                    if done {
-                        self.finish_committee();
-                    }
+                let decided = self.core.outcome().is_some();
+                self.core.push_share(&*self.setup, member, round, *share)?;
+                let uncertified =
+                    matches!(self.core.outcome(), Some(Ok(_))) && self.core.transcript().is_none();
+                if live && !decided && uncertified {
+                    eprintln!(
+                        "{}: certificate skipped: incomplete commitment plane",
+                        self.who
+                    );
                 }
                 NetMsg::Ack
             }
             NetMsg::PullStatus => {
-                if self.round_done() {
-                    if !self.replaying {
-                        self.driver_seen = true;
-                    }
-                    NetMsg::Finished
-                } else {
-                    NetMsg::CommitteeWait
+                if live && self.core.round_done() {
+                    self.driver_seen = true;
                 }
+                self.unless_done(NetMsg::CommitteeWait)
             }
             NetMsg::PushCertSig { member, sig } => {
-                if !self.committee_enabled() || member < 1 || member > c {
-                    return Err(NetError::Decode(format!("member {member} out of range")));
-                }
-                if let Some(cert) = &self.cert {
-                    // A forged or corrupted signature is simply not
-                    // counted; the seal grace decides the quorum.
-                    if !self.cert_sealed
-                        && self.cert_sigs[member as usize].is_none()
-                        && verify_transcript_sig(
-                            self.setup.spec.seed,
-                            member,
-                            &cert.transcript,
-                            &sig,
-                        )
-                    {
-                        self.cert_sigs[member as usize] = Some(sig);
-                    }
-                }
+                self.core.push_cert_sig(member, sig)?;
                 NetMsg::Ack
             }
             NetMsg::ShardRoot {
@@ -2093,67 +1443,24 @@ impl AggState {
                 commits,
                 root,
             } => {
-                let AggMode::Coordinator { shards } = &self.mode else {
-                    return Err(NetError::Decode(
-                        "shard root pushed at a non-coordinator".into(),
-                    ));
-                };
-                let shards = *shards;
-                if shard >= shards {
-                    return Err(NetError::Decode(format!("shard {shard} out of range")));
-                }
-                if rejected.iter().any(|&v| v >= n) {
-                    return Err(NetError::Decode(format!(
-                        "shard {shard} rejected a device outside the population"
-                    )));
-                }
-                if commits.iter().any(|c| c.origin >= n) {
-                    return Err(NetError::Decode(format!(
-                        "shard {shard} committed an origin outside the population"
-                    )));
-                }
-                if self.round_done() {
-                    if !self.replaying {
-                        self.finished_shards.insert(shard);
-                    }
-                    return Ok(NetMsg::Finished);
-                }
-                if self.submissions[shard as usize].is_none() {
-                    self.submissions[shard as usize] = Some(HeldCt::new(*root));
-                    self.got_submissions += 1;
-                    for v in rejected {
-                        if !self.rejected.contains(&v) {
-                            self.rejected.push(v);
-                        }
-                    }
-                    for cmt in commits {
-                        let o = cmt.origin as usize;
-                        if self.commits[o].is_none() {
-                            self.commits[o] = Some(cmt);
-                        }
-                    }
-                }
-                if self.round_done() {
-                    if !self.replaying {
-                        self.finished_shards.insert(shard);
-                    }
-                    NetMsg::Finished
-                } else {
-                    NetMsg::Ack
-                }
+                self.core.shard_root(shard, rejected, commits, *root)?;
+                self.shard_reply(shard, NetMsg::Ack)
             }
             NetMsg::PullShardStatus { shard } => {
-                if self.round_done() {
-                    if !self.replaying {
-                        self.finished_shards.insert(shard);
-                    }
-                    NetMsg::Finished
-                } else {
-                    NetMsg::CommitteeWait
-                }
+                self.core.check_shard(shard)?;
+                self.shard_reply(shard, NetMsg::CommitteeWait)
             }
             _ => return Err(NetError::Decode("request expected, got a reply".into())),
         })
+    }
+
+    /// The coordinator's answer to shard `shard`: `Finished` once the
+    /// round is done (noting that the shard saw it), otherwise `reply`.
+    fn shard_reply(&mut self, shard: u32, reply: NetMsg) -> NetMsg {
+        if self.core.round_done() && !self.replaying {
+            self.finished_shards.insert(shard);
+        }
+        self.unless_done(reply)
     }
 
     /// Handles one live request: runs due transitions, journals the
@@ -2163,10 +1470,10 @@ impl AggState {
     /// request's wire encoding (what the journal stores).
     pub fn handle(&mut self, msg: NetMsg, raw: &[u8]) -> Result<NetMsg, NetError> {
         self.tick()?;
-        if self.mutates(&msg) {
-            self.append_req(raw)?;
-        } else if self.is_duplicate(&msg) {
-            self.duplicates_suppressed += 1;
+        match self.delivery(&msg) {
+            Some(Delivery::New) => self.append_tagged(rec::REQ, raw)?,
+            Some(Delivery::Duplicate) => self.duplicates_suppressed += 1,
+            _ => {}
         }
         let reply = self.apply(msg)?;
         self.tick()?;
@@ -2180,14 +1487,17 @@ impl AggState {
     /// no journal record and counts no duplicate.
     fn repoll(&mut self, poll: &NetMsg) -> Result<NetMsg, NetError> {
         let poll = held_poll(poll).expect("only polls are held");
-        debug_assert!(!self.mutates(&poll), "a held poll never mutates");
+        debug_assert!(
+            self.delivery(&poll) != Some(Delivery::New),
+            "a held poll never mutates"
+        );
         self.apply(poll)
     }
 
     /// Whether the round has produced an outcome (success or typed
     /// failure).
     pub fn is_finished(&self) -> bool {
-        self.outcome.is_some()
+        self.core.outcome().is_some()
     }
 
     /// How many records the journal currently holds (tests).
@@ -2198,27 +1508,11 @@ impl AggState {
     /// The shard's sealed `ShardRoot` message once the partial tree is
     /// formed (`None` before that, and always in the other modes).
     pub fn shard_root_msg(&self) -> Option<NetMsg> {
-        let AggMode::Shard { shard, owned, .. } = &self.mode else {
-            return None;
-        };
-        self.aggregate.as_ref().map(|root| {
-            let mut rejected = self.rejected.clone();
-            rejected.sort_unstable();
-            // The aggregate only exists after the commitment freeze, so
-            // every owned origin's commitment is present.
-            let commits: Vec<OriginCommit> = self
-                .commits
-                .iter()
-                .zip(owned.iter())
-                .filter(|(_, &own)| own)
-                .map(|(c, _)| c.clone().expect("commits freeze before the root seals"))
-                .collect();
-            NetMsg::ShardRoot {
-                shard: *shard,
-                rejected,
-                commits,
-                root: Box::new(root.ct().clone()),
-            }
+        self.core.sealed_shard().map(|sealed| NetMsg::ShardRoot {
+            shard: sealed.shard,
+            rejected: sealed.rejected,
+            commits: sealed.commits,
+            root: Box::new(sealed.root.ct().clone()),
         })
     }
 
@@ -2226,7 +1520,7 @@ impl AggState {
     /// happened and the signature quorum was reached (`None` before the
     /// seal, below quorum, and always on shards).
     pub fn certificate(&self) -> Option<&[u8]> {
-        self.cert_bytes.as_deref()
+        self.core.certificate()
     }
 
     /// The sealed certificate rendered as the `ROUND_cert.json` artifact
@@ -2241,8 +1535,8 @@ impl AggState {
 
     /// A typed terminal failure, if the round recorded one.
     pub fn failure(&self) -> Option<String> {
-        match &self.outcome {
-            Some(Err(e)) => Some(e.clone()),
+        match self.core.outcome() {
+            Some(Err(e)) => Some(e.to_string()),
             _ => None,
         }
     }
@@ -2346,7 +1640,7 @@ impl SharedAgg {
         let (mut st, idle) = self.wait(st, TICK_EVERY);
         let records = st.journal_records();
         if let Err(e) = st.tick().and_then(|_| st.flush()) {
-            st.fail(format!("journal failure: {e}"));
+            st.core.abort(format!("journal failure: {e}"));
         }
         if idle || st.journal_records() != records {
             self.changed.notify_all();
@@ -2531,7 +1825,7 @@ pub fn run_aggregator(
     let mut s = shared.lock();
     loop {
         s = shared.step(s);
-        if s.round_done() {
+        if s.core.round_done() {
             let since = *outcome_since.get_or_insert_with(Instant::now);
             // Committee members (and shards) that died after the
             // outcome formed can never poll `Finished`; a grace period
@@ -2553,13 +1847,15 @@ pub fn run_aggregator(
     }
     // The outcome stays in the state, so a request still in flight keeps
     // seeing the round finished until the server shuts down.
-    let timed_out = Err(format!(
-        "round did not converge within {:?}",
-        spec.round_timeout
-    ));
-    let outcome = s.outcome.as_ref().unwrap_or(&timed_out);
-    let result = outcome.as_ref().map(|_| ()).map_err(String::clone);
-    let outcome_bytes = encode_outcome(outcome);
+    let timed_out = format!("round did not converge within {:?}", spec.round_timeout);
+    let outcome_bytes = s
+        .outcome_bytes()
+        .unwrap_or_else(|| encode_outcome(Err(&timed_out)));
+    let result = match s.core.outcome() {
+        Some(Ok(_)) => Ok(()),
+        Some(Err(failure)) => Err(failure.to_string()),
+        None => Err(timed_out),
+    };
     let cert_json = s.certificate_json();
     let duplicates = s.duplicates_suppressed();
     drop(s);
@@ -3407,7 +2703,7 @@ mod tests {
                     .plan
                     .build_contribution(&setup.keys, v, duty.exp, v == CHEATER, &mut rng)
                     .unwrap();
-                if st.owns_origin(duty.origin) {
+                if st.core.owns_origin(duty.origin) {
                     let msg = NetMsg::PushContrib {
                         origin: duty.origin,
                         slot: duty.slot,
@@ -3424,7 +2720,7 @@ mod tests {
     fn submit_origins(st: &mut AggState, origins: std::ops::Range<u32>) {
         let setup = Arc::clone(&st.setup);
         for v in origins {
-            if !st.owns_origin(v) {
+            if !st.core.owns_origin(v) {
                 continue;
             }
             let NetMsg::OriginJob { cts } = checked(st, &NetMsg::PullOrigin { origin: v }) else {
@@ -3497,7 +2793,7 @@ mod tests {
             let sig = cert_sig(st, m);
             checked(st, &sig);
         }
-        let Some(Ok(outcome)) = &st.outcome else {
+        let Some(Ok(outcome)) = st.core.outcome() else {
             panic!("{}: round did not decide: {:?}", st.who, st.failure());
         };
         assert_eq!(outcome.rejected, vec![CHEATER]);
@@ -3525,7 +2821,10 @@ mod tests {
         assert_eq!(st.digest(), pre_crash);
         assert_eq!(st.digest_full_rehash(), pre_crash);
         submit_origins(&mut st, n / 2..n);
-        assert!(st.aggregate.is_some(), "every row in: aggregate formed");
+        assert!(
+            st.core.aggregate().is_some(),
+            "every row in: aggregate formed"
+        );
         committee_to_outcome(&mut st);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -3542,8 +2841,46 @@ mod tests {
             let root = st.shard_root_msg().expect("shard sealed its root");
             checked(&mut coordinator, &root);
         }
-        assert!(coordinator.aggregate.is_some(), "every root in: combined");
+        assert!(
+            coordinator.core.aggregate().is_some(),
+            "every root in: combined"
+        );
         committee_to_outcome(&mut coordinator);
+    }
+
+    #[test]
+    fn shard_status_polls_are_validated_like_shard_roots() {
+        let poll = |st: &mut AggState, shard: u32| {
+            let msg = NetMsg::PullShardStatus { shard };
+            let raw = msg.encode();
+            st.handle(msg, &raw)
+        };
+        // A hub has no shards, before or after its round is done: a
+        // poll naming one is malformed, not a shard that saw the end.
+        let setup = Arc::new(build_setup(&spec(1)).unwrap());
+        let n = setup.pop.graph.len() as u32;
+        let mut hub = AggState::new(Arc::clone(&setup));
+        assert!(matches!(poll(&mut hub, 0), Err(NetError::Decode(_))));
+        push_contributions(&mut hub);
+        submit_origins(&mut hub, 0..n);
+        committee_to_outcome(&mut hub);
+        assert!(hub.core.round_done());
+        assert!(matches!(poll(&mut hub, 0), Err(NetError::Decode(_))));
+        assert!(hub.finished_shards.is_empty());
+
+        // A coordinator answers its own shards only.
+        let setup = Arc::new(build_setup(&spec(4)).unwrap());
+        let mut coordinator = AggState::new(setup);
+        for shard in [4, 99] {
+            assert!(matches!(
+                poll(&mut coordinator, shard),
+                Err(NetError::Decode(_))
+            ));
+        }
+        for shard in 0..4 {
+            let reply = poll(&mut coordinator, shard).unwrap();
+            assert!(matches!(reply, NetMsg::CommitteeWait), "{}", reply.kind());
+        }
     }
 
     /// One live request through the server's serve path, held polls
@@ -3673,7 +3010,7 @@ mod tests {
         let member = serve_in_background(&shared, checkin(1));
         let driver = serve_in_background(&shared, NetMsg::PullStatus);
         std::thread::sleep(Duration::from_millis(30));
-        assert!(!shared.lock().round_done());
+        assert!(!shared.lock().core.round_done());
         assert!(matches!(serve(&shared, &last_sig).0, NetMsg::Ack));
         for held in [member, driver] {
             let (reply, took) = held.join().unwrap();

@@ -598,3 +598,195 @@ fn state_digest_and_checkpoint_bytes_are_pinned() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The client side of one proof-carrying hub round, replayable against
+/// any [`AggState`]: every contribution duty (device 3 cheats, so its
+/// slots are substituted), every origin row, every check-in, share and
+/// certificate signature. Replies decide what comes next, the way the
+/// real device, origin and committee processes decide it; each origin
+/// row and each share is computed once and re-sent verbatim, as a
+/// retrying client re-sends its request.
+struct RoundClients {
+    setup: Arc<RoundSetup>,
+    pushes: Vec<NetMsg>,
+    rows: std::collections::BTreeMap<u32, NetMsg>,
+    shares: std::collections::BTreeMap<(u64, u32), NetMsg>,
+}
+
+impl RoundClients {
+    fn new(setup: &Arc<RoundSetup>) -> Self {
+        const CHEATER: u32 = 3;
+        let mut pushes = Vec::new();
+        for (v, duties) in setup.duties.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(1000 + v as u64);
+            for duty in duties {
+                let cheat = v as u32 == CHEATER;
+                let sc = setup
+                    .plan
+                    .build_contribution(&setup.keys, v as u32, duty.exp, cheat, &mut rng)
+                    .unwrap();
+                pushes.push(NetMsg::PushContrib {
+                    origin: duty.origin,
+                    slot: duty.slot,
+                    sc: Box::new(sc),
+                });
+            }
+        }
+        RoundClients {
+            setup: Arc::clone(setup),
+            pushes,
+            rows: Default::default(),
+            shares: Default::default(),
+        }
+    }
+
+    /// Sends the whole request sequence from the start until every
+    /// member has seen `Finished`.
+    fn run(&mut self, st: &mut AggState) {
+        let setup = Arc::clone(&self.setup);
+        for push in &self.pushes {
+            let reply = request(st, &setup, push);
+            assert!(matches!(reply, NetMsg::Ack | NetMsg::Finished));
+        }
+        for v in 0..setup.pop.graph.len() as u32 {
+            let cts = match request(st, &setup, &NetMsg::PullOrigin { origin: v }) {
+                NetMsg::OriginJob { cts } => cts,
+                NetMsg::Finished => continue,
+                other => panic!("origin {v}: unexpected {}", other.kind()),
+            };
+            let row = self.rows.entry(v).or_insert_with(|| {
+                let cts: Vec<Ciphertext> = cts.into_iter().map(Option::unwrap).collect();
+                let mut rng = StdRng::seed_from_u64(2000 + v as u64);
+                let mut stats = mycelium::exec::ExecStats::default();
+                let work = &setup.works[v as usize];
+                let ct = mycelium::plan::combine_origin(
+                    &setup.plan,
+                    &setup.keys,
+                    work,
+                    &cts,
+                    &mut stats,
+                    &mut rng,
+                )
+                .unwrap();
+                NetMsg::SubmitOrigin {
+                    origin: v,
+                    ct: Box::new(ct),
+                }
+            });
+            let reply = request(st, &setup, row);
+            assert!(matches!(reply, NetMsg::Ack | NetMsg::Finished));
+        }
+        let c = setup.committee_size as u64;
+        let mut finished = vec![false; c as usize + 1];
+        for _ in 0..8 {
+            for m in 1..=c {
+                if finished[m as usize] {
+                    continue;
+                }
+                let checkin = NetMsg::CommitteeCheckIn {
+                    member: m,
+                    seed: [m as u8; 32],
+                };
+                match request(st, &setup, &checkin) {
+                    NetMsg::Finished => finished[m as usize] = true,
+                    NetMsg::CommitteeWait => {}
+                    NetMsg::CommitteeShareTask {
+                        round,
+                        participants,
+                        ct,
+                    } => {
+                        let push = self.shares.entry((m, round)).or_insert_with(|| {
+                            let mut rng = StdRng::seed_from_u64(3000 + m);
+                            let t = setup.plan.t_pt as i64;
+                            let share = decryption_share(
+                                &ct,
+                                &setup.key_shares,
+                                m,
+                                &participants,
+                                t,
+                                &mut rng,
+                            )
+                            .unwrap();
+                            NetMsg::PushShare {
+                                member: m,
+                                round,
+                                share: Box::new(share),
+                            }
+                        });
+                        assert!(matches!(request(st, &setup, push), NetMsg::Ack));
+                    }
+                    NetMsg::CertSignTask { transcript } => {
+                        let sig = sign_transcript(setup.spec.seed, m, &transcript);
+                        let push = NetMsg::PushCertSig { member: m, sig };
+                        assert!(matches!(request(st, &setup, &push), NetMsg::Ack));
+                    }
+                    other => panic!("member {m}: unexpected {}", other.kind()),
+                }
+            }
+        }
+        assert!(
+            finished[1..].iter().all(|&f| f),
+            "every member saw the round finish"
+        );
+    }
+}
+
+/// Crashes the hub after every journal record of a full round in turn:
+/// a journal holding exactly the first `k` records of the uncrashed run
+/// recovers, every client re-sends its requests from the start, and the
+/// round seals the same certificate bytes and lands on the same state
+/// digest as the run that never crashed.
+#[test]
+fn every_crash_point_of_a_hub_round_recovers_to_the_same_certificate() {
+    let spec = RoundSpec {
+        with_proofs: true,
+        ..test_spec()
+    };
+    let setup = Arc::new(build_setup(&spec).unwrap());
+    let binding = spec.coordinator_binding_digest();
+    let dir = journal_dir("crash-points");
+    let mut clients = RoundClients::new(&setup);
+
+    let path = dir.join(files::JOURNAL);
+    let mut st = AggState::recover(Arc::clone(&setup), &path).unwrap();
+    clients.run(&mut st);
+    let cert = st
+        .certificate()
+        .expect("the uncrashed round seals")
+        .to_vec();
+    let digest = st.digest();
+    drop(st);
+    let (_, records) = Journal::open(&path, &binding).unwrap();
+    assert!(
+        records.len() > clients.pushes.len(),
+        "the journal holds the whole round"
+    );
+
+    for k in 0..=records.len() {
+        let prefix = dir.join(format!("prefix-{k}.bin"));
+        let mut journal = Journal::create(&prefix, &binding).unwrap();
+        for record in &records[..k] {
+            journal.append(record).unwrap();
+        }
+        journal.commit().unwrap();
+        drop(journal);
+        let mut st = AggState::recover(Arc::clone(&setup), &prefix)
+            .unwrap_or_else(|e| panic!("crash after record {k}: recovery failed: {e}"));
+        clients.run(&mut st);
+        assert_eq!(
+            st.certificate(),
+            Some(cert.as_slice()),
+            "crash after record {k} of {}: certificate bytes differ",
+            records.len()
+        );
+        assert_eq!(
+            st.digest(),
+            digest,
+            "crash after record {k} of {}: final state differs",
+            records.len()
+        );
+        drop(st);
+        std::fs::remove_file(&prefix).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
